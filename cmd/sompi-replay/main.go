@@ -8,7 +8,7 @@
 //	sompi-replay -log DIR|FILE -target name=url[,url...] [-target ...]
 //	             [-rate 1.0] [-concurrency 1] [-timeout 30s]
 //	             [-ignore field,path.field] [-rules rules.json]
-//	             [-out report.json] [-append-bench BENCH.json]
+//	             [-out report.json]
 //
 // A capture log is produced by sompid -capture-log DIR. With one
 // -target the run is a load/latency replay; with two it is a twin-diff:
@@ -31,10 +31,6 @@
 //	2  one or more regression rules tripped
 //	3  bad arguments or an unreadable rules file
 //	4  the replay itself failed (unreadable capture, no responses)
-//
-// -append-bench merges the replay's throughput summary into a
-// BENCH_serve.json-style file under the "replay" key, so sustained-load
-// numbers live next to the serve benchmarks they extend.
 package main
 
 import (
@@ -98,7 +94,6 @@ func run(args []string, stdout, stderr *os.File) int {
 		ignore      = fs.String("ignore", "", "comma-separated extra diff ignore rules (field names or dotted paths)")
 		rulesPath   = fs.String("rules", "", "JSON regression-rules file; violations exit 2")
 		outPath     = fs.String("out", "", "write the full JSON report here ('-' = stdout)")
-		appendBench = fs.String("append-bench", "", "merge the throughput summary into this BENCH_serve.json-style file under the \"replay\" key")
 	)
 	fs.Var(&targets, "target", "replay target as name=url[,url...]; extra urls are cluster-node fallbacks; repeat the flag for a twin-diff (max 2)")
 	if err := fs.Parse(args); err != nil {
@@ -162,13 +157,6 @@ func run(args []string, stdout, stderr *os.File) int {
 			fmt.Fprintf(stderr, "sompi-replay: %v\n", err)
 			return harness.ExitRuntime
 		}
-	}
-	if *appendBench != "" {
-		if err := harness.AppendBench(*appendBench, rep); err != nil {
-			fmt.Fprintf(stderr, "sompi-replay: %v\n", err)
-			return harness.ExitRuntime
-		}
-		fmt.Fprintf(stderr, "sompi-replay: appended replay summary to %s\n", *appendBench)
 	}
 
 	if *rulesPath != "" {

@@ -71,7 +71,7 @@ func main() {
 	fmt.Printf("deadline: %.1fh (%.2fx baseline)\n\n", dl, *deadline)
 
 	train := m.Window(0, baselines.History)
-	res, err := opt.Optimize(opt.Config{Profile: profile, Market: train, Deadline: dl, Workers: *parallel})
+	res, err := opt.OptimizeContext(context.Background(), opt.Config{Profile: profile, Market: train, Deadline: dl, Workers: *parallel})
 	if err != nil {
 		log.Fatalf("optimization failed: %v", err)
 	}
@@ -79,9 +79,12 @@ func main() {
 
 	if *replays > 0 {
 		r := &replay.Runner{Market: m, Profile: profile}
-		st := replay.MonteCarlo(baselines.SOMPI(m), r, replay.MCConfig{
+		st, err := replay.MonteCarloContext(context.Background(), baselines.SOMPI(m), r, replay.MCConfig{
 			Deadline: dl, Runs: *replays, Seed: *seed, Workers: *parallel,
 		})
+		if err != nil {
+			log.Fatalf("replay failed: %v", err)
+		}
 		fmt.Printf("\nadaptive replay: %s\n", st.String())
 		fmt.Printf("normalized cost vs baseline: %.2f\n", st.Cost.Mean()/baselineFleet.FullCost())
 	}

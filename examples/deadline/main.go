@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -23,7 +24,7 @@ func main() {
 
 	fmt.Println("deadline-mult  expected-cost  groups  recovery")
 	for _, mult := range []float64{1.05, 1.1, 1.2, 1.35, 1.5, 1.75, 2.0} {
-		res, err := sompi.Optimize(sompi.Config{
+		res, err := sompi.OptimizeContext(context.Background(), sompi.Config{
 			Profile:  bt,
 			Market:   market.Window(0, 96),
 			Deadline: baseline * mult,

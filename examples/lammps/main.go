@@ -6,7 +6,9 @@
 package main
 
 import (
+	"context"
 	"fmt"
+	"log"
 
 	"sompi"
 )
@@ -35,9 +37,12 @@ func main() {
 			sompi.NewMaratheOpt(market),
 			sompi.NewSOMPI(market),
 		} {
-			st := sompi.MonteCarlo(s, runner, sompi.MCConfig{
+			st, err := sompi.MonteCarloContext(context.Background(), s, runner, sompi.MCConfig{
 				Deadline: deadline, Runs: 5, Seed: 3,
 			})
+			if err != nil {
+				log.Fatal(err)
+			}
 			fmt.Printf("  %-12s $%6.0f (%.2fx baseline), %.1fh\n",
 				st.Name, st.Cost.Mean(), st.Cost.Mean()/baseCost, st.Hours.Mean())
 		}

@@ -1,6 +1,7 @@
 package baselines
 
 import (
+	"context"
 	"testing"
 
 	"sompi/internal/app"
@@ -192,7 +193,10 @@ func TestSOMPICompletesAndBeatsBaselineLoose(t *testing.T) {
 	p := app.BT()
 	r := runnerFor(m, p)
 	dl := looseDeadline(p)
-	st := replay.MonteCarlo(SOMPI(m), r, replay.MCConfig{Deadline: dl, Runs: 4, Seed: 2})
+	st, err := replay.MonteCarloContext(context.Background(), SOMPI(m), r, replay.MCConfig{Deadline: dl, Runs: 4, Seed: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if st.Failures > 0 {
 		t.Fatalf("%d strategy failures", st.Failures)
 	}

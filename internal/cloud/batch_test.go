@@ -106,35 +106,6 @@ func TestAppendBatchFsyncTailFailureAppliesAll(t *testing.T) {
 	}
 }
 
-// Without a batch hook AppendBatch degrades to the per-tick persist
-// hook, assigning each tick its own version; a mid-batch failure keeps
-// the logged prefix.
-func TestAppendBatchFallsBackToPerTickPersist(t *testing.T) {
-	m := persistMarket(t)
-	key := MarketKey{M1Small.Name, ZoneA}
-	var versions []uint64
-	boom := errors.New("disk full")
-	m.SetPersist(func(_ MarketKey, _ []float64, version uint64) error {
-		if len(versions) == 2 {
-			return boom
-		}
-		versions = append(versions, version)
-		return nil
-	})
-	shardBefore, _ := m.ShardVersion(key)
-
-	applied, _, err := m.AppendBatch(key, [][]float64{{0.1}, {0.2}, {0.3}})
-	if !errors.Is(err, boom) || applied != 2 {
-		t.Fatalf("applied %d err %v, want the 2-tick logged prefix and the error", applied, err)
-	}
-	if want := []uint64{shardBefore + 1, shardBefore + 2}; !reflect.DeepEqual(versions, want) {
-		t.Fatalf("per-tick persist versions %v, want %v", versions, want)
-	}
-	if sv, _ := m.ShardVersion(key); sv != shardBefore+2 {
-		t.Fatalf("shard version %d, want %d", sv, shardBefore+2)
-	}
-}
-
 // Validation is all-or-nothing and up-front: a bad sample anywhere in
 // the batch rejects the whole batch before the persist hook runs.
 func TestAppendBatchRejectsBadSamplesWhole(t *testing.T) {

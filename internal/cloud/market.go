@@ -163,41 +163,31 @@ type Market struct {
 	// safe against concurrent appends.
 	retainBits atomic.Uint64
 
-	// collector, when set, records one "market.append" span per Append.
-	// An atomic pointer so SetCollector is safe against in-flight appends;
-	// nil (the default) keeps the ingest path free of clock reads.
+	// collector, when set, records one "market.append_batch" span per
+	// AppendBatch. An atomic pointer so SetCollector is safe against
+	// in-flight appends; nil (the default) keeps the ingest path free of
+	// clock reads.
 	collector atomic.Pointer[obs.Collector]
 
-	// persist, when set, is the durability hook: every Append invokes it
-	// under the target shard's write lock, before the in-memory apply,
-	// with the shard version the append will produce. An atomic pointer
-	// for the same reason as collector; nil (the default) keeps the
-	// market pure in-memory.
-	persist atomic.Pointer[PersistFunc]
-
-	// persistBatch, when set, is the group-commit durability hook:
-	// AppendBatch logs a shard's whole run of ticks in one call instead
-	// of one WAL append per tick. Without it AppendBatch falls back to
-	// the per-tick persist hook.
+	// persistBatch, when set, is the durability hook: every append logs
+	// its run of ticks through it in one call (group commit), under the
+	// target shard's write lock, before the in-memory apply. An atomic
+	// pointer for the same reason as collector; nil (the default) keeps
+	// the market pure in-memory.
 	persistBatch atomic.Pointer[PersistBatchFunc]
 }
 
-// PersistFunc is the durability hook invoked by Append before a tick is
-// applied: the target market, the samples, and the shard version the
-// apply will produce. Returning an error aborts the append — the hook
-// runs WAL-first, so an unlogged tick is never applied.
-type PersistFunc func(key MarketKey, samples []float64, version uint64) error
-
-// PersistBatchFunc is the batch durability hook invoked by AppendBatch
-// under the target shard's write lock, before any in-memory apply, with
-// the whole run of ticks and the shard version the first tick will
-// produce (tick i lands at firstVersion+i). It returns how many leading
-// ticks are durably in the log: on a clean write that is len(ticks); on
-// a mid-batch write failure it is the index of the failed tick (nothing
-// from that tick onward was logged); a post-write sync failure still
-// returns len(ticks) — the frames are in the log and will replay, so
-// the market must apply them all or replay would outrun the live state.
-// AppendBatch applies exactly the returned prefix.
+// PersistBatchFunc is the durability hook invoked by AppendBatch (and so
+// by Append, a one-tick batch) under the target shard's write lock,
+// before any in-memory apply — WAL-first, so an unlogged tick is never
+// applied — with the whole run of ticks and the shard version the first
+// tick will produce (tick i lands at firstVersion+i). It returns how
+// many leading ticks are durably in the log: on a clean write that is
+// len(ticks); on a mid-batch write failure it is the index of the
+// failed tick (nothing from that tick onward was logged); a post-write
+// sync failure still returns len(ticks) — the frames are in the log and
+// will replay, so the market must apply them all or replay would outrun
+// the live state. AppendBatch applies exactly the returned prefix.
 type PersistBatchFunc func(key MarketKey, ticks [][]float64, firstVersion uint64) (int, error)
 
 // ShardState is one shard's full durable state as captured into (and
@@ -290,24 +280,15 @@ func (m *Market) Retention() float64 {
 }
 
 // SetCollector installs (or, with nil, removes) a span collector: every
-// subsequent Append records a "market.append" span with the shard key,
-// sample count and shard version. Safe to call concurrently with
-// ingestion; without a collector the append path performs no clock reads.
+// subsequent AppendBatch records a "market.append_batch" span with the
+// shard key, applied tick count and shard version. Safe to call
+// concurrently with ingestion; without a collector the append path
+// performs no clock reads.
 func (m *Market) SetCollector(c *obs.Collector) { m.collector.Store(c) }
 
-// SetPersist installs (or, with nil, removes) the durability hook. Safe
-// to call concurrently with ingestion; appends in flight when the hook
-// is installed may complete without it.
-func (m *Market) SetPersist(fn PersistFunc) {
-	if fn == nil {
-		m.persist.Store(nil)
-		return
-	}
-	m.persist.Store(&fn)
-}
-
-// SetPersistBatch installs (or, with nil, removes) the batch durability
-// hook used by AppendBatch. Safe to call concurrently with ingestion.
+// SetPersistBatch installs (or, with nil, removes) the durability hook.
+// Safe to call concurrently with ingestion; appends in flight when the
+// hook is installed may complete without it.
 func (m *Market) SetPersistBatch(fn PersistBatchFunc) {
 	if fn == nil {
 		m.persistBatch.Store(nil)
@@ -341,30 +322,8 @@ func (m *Market) ValidateTick(key MarketKey, samples []float64) error {
 // no-op that still bumps both the shard and composite versions (the
 // ingestion heartbeat advanced, even if no price changed).
 func (m *Market) Append(key MarketKey, samples []float64) (uint64, error) {
-	col := m.collector.Load()
-	var start time.Time
-	if col != nil {
-		start = time.Now()
-	}
-	s, ok := m.shards[key]
-	if !ok {
-		return m.Version(), fmt.Errorf("%w: %v", ErrUnknownMarket, key)
-	}
-	var persist PersistFunc
-	if p := m.persist.Load(); p != nil {
-		persist = *p
-	}
-	sv, err := s.append(samples, m.Retention(), persist)
-	if err != nil {
-		return m.Version(), err
-	}
-	if col != nil {
-		col.RecordSpan("market.append", start,
-			obs.Attr{Key: "market", Value: key.String()},
-			obs.Attr{Key: "samples", Value: fmt.Sprint(len(samples))},
-			obs.Attr{Key: "shard_version", Value: fmt.Sprint(sv)})
-	}
-	return m.base + m.ticks.Add(1), nil
+	_, version, err := m.AppendBatch(key, [][]float64{samples})
+	return version, err
 }
 
 // AppendBatch extends one shard's price history with a run of ticks
@@ -389,15 +348,11 @@ func (m *Market) AppendBatch(key MarketKey, ticks [][]float64) (int, uint64, err
 	if !ok {
 		return 0, m.Version(), fmt.Errorf("%w: %v", ErrUnknownMarket, key)
 	}
-	var persist PersistFunc
-	if p := m.persist.Load(); p != nil {
+	var persist PersistBatchFunc
+	if p := m.persistBatch.Load(); p != nil {
 		persist = *p
 	}
-	var persistBatch PersistBatchFunc
-	if p := m.persistBatch.Load(); p != nil {
-		persistBatch = *p
-	}
-	applied, sv, err := s.appendBatch(ticks, m.Retention(), persistBatch, persist)
+	applied, sv, err := s.appendBatch(ticks, m.Retention(), persist)
 	version := m.Version()
 	if applied > 0 {
 		version = m.base + m.ticks.Add(uint64(applied))

@@ -21,9 +21,12 @@ func TestPersistHookSeesEveryAppend(t *testing.T) {
 		version uint64
 	}
 	var calls []call
-	m.SetPersist(func(key MarketKey, samples []float64, version uint64) error {
-		calls = append(calls, call{key, append([]float64(nil), samples...), version})
-		return nil
+	m.SetPersistBatch(func(key MarketKey, ticks [][]float64, first uint64) (int, error) {
+		if len(ticks) != 1 {
+			t.Errorf("Append logged %d ticks, want a one-tick batch", len(ticks))
+		}
+		calls = append(calls, call{key, append([]float64(nil), ticks[0]...), first})
+		return len(ticks), nil
 	})
 	key := MarketKey{M1Small.Name, ZoneA}
 	for i := 0; i < 3; i++ {
@@ -58,7 +61,7 @@ func TestPersistFailureAbortsAppend(t *testing.T) {
 	beforeComposite := m.Version()
 
 	boom := errors.New("disk full")
-	m.SetPersist(func(MarketKey, []float64, uint64) error { return boom })
+	m.SetPersistBatch(func(MarketKey, [][]float64, uint64) (int, error) { return 0, boom })
 	if _, err := m.Append(key, []float64{0.5}); !errors.Is(err, boom) {
 		t.Fatalf("Append with failing persist: got %v, want wrapped disk full", err)
 	}
@@ -74,7 +77,7 @@ func TestPersistFailureAbortsAppend(t *testing.T) {
 	}
 
 	// Removing the hook restores pure in-memory appends.
-	m.SetPersist(nil)
+	m.SetPersistBatch(nil)
 	if _, err := m.Append(key, []float64{0.5}); err != nil {
 		t.Fatalf("Append after removing hook: %v", err)
 	}

@@ -53,53 +53,26 @@ func (s *shard) currentTrace() *trace.Trace {
 	return s.tr
 }
 
-// append validates and applies new samples, enforcing the retention
-// bound (retainHours of trailing history; 0 disables). It returns the
-// shard's new version. Only this shard's lock is held — appends to
-// different shards proceed in parallel.
+// appendBatch validates and applies a run of ticks under one write-lock
+// acquisition, enforcing the retention bound (retainHours of trailing
+// history; 0 disables). Only this shard's lock is held — appends to
+// different shards proceed in parallel. All ticks are validated before
+// the lock is taken, so a bad sample rejects the batch whole with
+// nothing applied.
 //
 // persist, when non-nil, is invoked under the write lock before the
-// in-memory apply, with the version the append will produce: the
-// WAL-first ordering. A persist failure aborts the append whole, so a
-// version recorded in the log is always reached by the shard and a
-// version reached by the shard is always in the log. Holding the lock
-// across persist also gives snapshots their barrier: a snapshot cut
-// after this append's WAL write cannot capture the shard until the
-// apply lands.
-func (s *shard) append(samples []float64, retainHours float64, persist PersistFunc) (uint64, error) {
-	for i, p := range samples {
-		if p < 0 || math.IsNaN(p) || math.IsInf(p, 0) {
-			s.mu.RLock()
-			v := s.version
-			s.mu.RUnlock()
-			return v, fmt.Errorf("%w: sample %d for %v is not a price: %v", ErrBadSample, i, s.key, p)
-		}
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if persist != nil {
-		if err := persist(s.key, samples, s.version+1); err != nil {
-			return s.version, fmt.Errorf("cloud: persisting tick for %v: %w", s.key, err)
-		}
-	}
-	s.applyLocked(samples, retainHours)
-	return s.version, nil
-}
-
-// appendBatch validates and applies a run of ticks under one write-lock
-// acquisition, preserving the WAL-first contract per tick. All ticks are
-// validated before the lock is taken, so a bad sample rejects the batch
-// whole with nothing applied. With a batch persist hook the entire run
-// is logged in one call (group commit); the hook reports how many
-// leading ticks are durably in the log and exactly that prefix is
-// applied — a tick is applied iff its version is reachable by WAL
-// replay. Without a batch hook, a per-tick persist hook (or none) is
-// invoked tick by tick, stopping at the first failure.
+// in-memory apply, with the version the first tick will produce: the
+// WAL-first ordering. It logs the entire run in one call (group commit)
+// and reports how many leading ticks are durably in the log; exactly
+// that prefix is applied — a tick is applied iff its version is
+// reachable by WAL replay. Holding the lock across persist also gives
+// snapshots their barrier: a snapshot cut after this append's WAL write
+// cannot capture the shard until the apply lands.
 //
 // Returns the number of ticks applied and the shard's resulting
 // version; a partial apply returns both the applied count and the
 // error.
-func (s *shard) appendBatch(ticks [][]float64, retainHours float64, persistBatch PersistBatchFunc, persist PersistFunc) (int, uint64, error) {
+func (s *shard) appendBatch(ticks [][]float64, retainHours float64, persist PersistBatchFunc) (int, uint64, error) {
 	for t, samples := range ticks {
 		for i, p := range samples {
 			if p < 0 || math.IsNaN(p) || math.IsInf(p, 0) {
@@ -114,22 +87,13 @@ func (s *shard) appendBatch(ticks [][]float64, retainHours float64, persistBatch
 	defer s.mu.Unlock()
 	apply := len(ticks)
 	var persistErr error
-	switch {
-	case persistBatch != nil:
-		n, err := persistBatch(s.key, ticks, s.version+1)
+	if persist != nil {
+		n, err := persist(s.key, ticks, s.version+1)
 		if err != nil {
 			persistErr = fmt.Errorf("cloud: persisting batch for %v: %w", s.key, err)
 		}
 		if n < apply {
 			apply = n
-		}
-	case persist != nil:
-		for i, samples := range ticks {
-			if err := persist(s.key, samples, s.version+1+uint64(i)); err != nil {
-				persistErr = fmt.Errorf("cloud: persisting tick for %v: %w", s.key, err)
-				apply = i
-				break
-			}
 		}
 	}
 	for _, samples := range ticks[:apply] {

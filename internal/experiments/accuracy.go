@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"math"
 
 	"sompi/internal/app"
@@ -91,7 +92,7 @@ func AccModel(p Params) *report.Table {
 		// the formulas, not day-over-day market drift. Train and replay
 		// on one 10-day window.
 		train := m.Window(0, 240)
-		res, err := opt.Optimize(opt.Config{Profile: pr, Market: train, Deadline: deadline, Workers: p.Workers})
+		res, err := opt.OptimizeContext(context.Background(), opt.Config{Profile: pr, Market: train, Deadline: deadline, Workers: p.Workers})
 		if err != nil {
 			continue
 		}
@@ -102,10 +103,13 @@ func AccModel(p Params) *report.Table {
 				return res.Plan, nil
 			},
 		}
-		st := replay.MonteCarlo(fixed, r, replay.MCConfig{
+		st, err := replay.MonteCarloContext(context.Background(), fixed, r, replay.MCConfig{
 			Deadline: deadline, Runs: p.Runs * 4, History: baselines.History, Seed: p.Seed + 2,
 			Workers: p.Workers,
 		})
+		if err != nil {
+			panic(err) // defaulted Params on a generated market: see mc
+		}
 		rel := math.Abs(res.Est.Cost-st.Cost.Mean()) / st.Cost.Mean()
 		if rel > worst {
 			worst = rel

@@ -6,6 +6,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -68,16 +69,22 @@ func baselineOf(pr app.Profile) (cost, hours float64) {
 	return od.FullCost(), od.T
 }
 
-// mc runs one strategy through the Monte Carlo harness.
+// mc runs one strategy through the Monte Carlo harness. Params are
+// defaulted and the markets generated here, so a rejected config is a
+// bug in the experiment's definition, not an input error.
 func mc(s replay.Strategy, m cloud.MarketView, pr app.Profile, deadline float64, p Params) replay.MCStats {
 	r := &replay.Runner{Market: m, Profile: pr}
-	return replay.MonteCarlo(s, r, replay.MCConfig{
+	st, err := replay.MonteCarloContext(context.Background(), s, r, replay.MCConfig{
 		Deadline: deadline,
 		Runs:     p.Runs,
 		History:  baselines.History,
 		Seed:     p.Seed + 1,
 		Workers:  p.Workers,
 	})
+	if err != nil {
+		panic(err)
+	}
+	return st
 }
 
 // Fig5 regenerates Figure 5: normalized monetary cost of On-demand,

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"time"
 
 	"sompi/internal/app"
@@ -49,7 +50,7 @@ func Kappa(p Params) *report.Table {
 	}
 	for kappa := 1; kappa <= 5; kappa++ {
 		startT := time.Now()
-		res, err := opt.Optimize(opt.Config{
+		res, err := opt.OptimizeContext(context.Background(), opt.Config{
 			Profile: pr, Market: m, Deadline: deadline, Kappa: kappa,
 			Workers: p.Workers,
 		})

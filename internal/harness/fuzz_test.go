@@ -12,7 +12,7 @@ import (
 // TestCaptureSmokeFixtureDecodes pins the committed capture fixture:
 // every line decodes, seq is dense from 0, timestamps never go
 // backwards, and the record set survives an encode/decode round trip.
-// The fixture doubles as the fuzz seed corpus and as replay-smoke's
+// The fixture doubles as the fuzz seed corpus and as the replay smoke's
 // known-good capture shape.
 func TestCaptureSmokeFixtureDecodes(t *testing.T) {
 	recs, err := Load(filepath.Join("testdata", "capture_smoke.ndjson"))

@@ -335,6 +335,14 @@ func bodyDigest(b []byte) string {
 	return fmt.Sprintf("sha256:%s (%d bytes)", hex.EncodeToString(sum[:8]), len(b))
 }
 
+// QPS is the run's overall throughput: records over wall time.
+func (rep *Report) QPS() float64 {
+	if rep.WallSeconds <= 0 {
+		return 0
+	}
+	return float64(rep.Records) / rep.WallSeconds
+}
+
 // HitRate reports a target's plan-cache hit rate across endpoints;
 // ok is false when the replay observed no cache lookups at all.
 func (t TargetReport) HitRate() (rate float64, ok bool) {

@@ -298,7 +298,7 @@ func TestParseLevelFormat(t *testing.T) {
 }
 
 // BenchmarkSpanDisabled documents the nil fast path's cost; the real
-// budget gate is cmd/bench -obscheck on the optimizer benchmark.
+// budget gate is cmd/smoke's obs stage on the serial pruned search.
 func BenchmarkSpanDisabled(b *testing.B) {
 	ctx := context.Background()
 	b.ReportAllocs()

@@ -159,7 +159,7 @@ func (s *OneShot) Run(r *replay.Runner, deadline, start float64) (replay.Outcome
 	trainStart := math.Max(0, start-history)
 	cfg.Market = s.Base.Market.Window(trainStart, start-trainStart)
 	cfg.Deadline = deadline
-	res, err := Optimize(cfg)
+	res, err := OptimizeContext(context.Background(), cfg)
 	if err != nil {
 		return replay.Outcome{}, err
 	}

@@ -1,6 +1,7 @@
 package opt
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -133,7 +134,7 @@ func TestOneShotMatchesFixedReplay(t *testing.T) {
 
 	cfg := Config{Profile: p, Market: m.Window(200-96, 96), Deadline: dl,
 		Kappa: 1, GridLevels: 3, MaxGroups: 3}
-	res, err := Optimize(cfg)
+	res, err := OptimizeContext(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,8 +153,15 @@ func TestAdaptiveCheaperOrEqualOneShotOnAverage(t *testing.T) {
 	r := &replay.Runner{Market: m, Profile: p}
 	dl := FastestOnDemand(nil, p).T * 1.5
 	cfgBase := Config{Market: m}
-	ad := replay.MonteCarlo(&Adaptive{Base: cfgBase}, r, replay.MCConfig{Deadline: dl, Runs: 6, Seed: 3})
-	os := replay.MonteCarlo(&OneShot{Base: cfgBase}, r, replay.MCConfig{Deadline: dl, Runs: 6, Seed: 3})
+	mcCfg := replay.MCConfig{Deadline: dl, Runs: 6, Seed: 3}
+	ad, err := replay.MonteCarloContext(context.Background(), &Adaptive{Base: cfgBase}, r, mcCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	os, err := replay.MonteCarloContext(context.Background(), &OneShot{Base: cfgBase}, r, mcCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if ad.Cost.Mean() > os.Cost.Mean()*1.1 {
 		t.Errorf("adaptive $%.0f clearly worse than one-shot $%.0f",
 			ad.Cost.Mean(), os.Cost.Mean())

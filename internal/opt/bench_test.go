@@ -1,6 +1,7 @@
 package opt
 
 import (
+	"context"
 	"testing"
 
 	"sompi/internal/app"
@@ -18,17 +19,17 @@ func BenchmarkOptimize(b *testing.B) {
 	deadline := FastestOnDemand(nil, p).T * 1.5
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Optimize(Config{Profile: p, Market: m, Deadline: deadline}); err != nil {
+		if _, err := OptimizeContext(context.Background(), Config{Profile: p, Market: m, Deadline: deadline}); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-// BenchmarkOptimizeSearch compares the search configurations the
-// regression harness (cmd/bench) tracks: the exhaustive serial search
-// (the pre-parallel baseline), branch-and-bound alone, and
-// branch-and-bound on the full worker pool. All three return the same
-// plan; only the work to find it differs.
+// BenchmarkOptimizeSearch compares the search configurations: the
+// exhaustive serial search (the pre-parallel baseline), branch-and-bound
+// alone, and branch-and-bound on the full worker pool. All three return
+// the same plan (TestOptimizeParallelDeterministic); only the work to
+// find it differs.
 func BenchmarkOptimizeSearch(b *testing.B) {
 	m := cloud.GenerateMarket(cloud.DefaultCatalog(), cloud.DefaultZones(), 24*14, 42)
 	p := app.BT()
@@ -47,7 +48,7 @@ func BenchmarkOptimizeSearch(b *testing.B) {
 			var res Result
 			var err error
 			for i := 0; i < b.N; i++ {
-				if res, err = Optimize(cfg); err != nil {
+				if res, err = OptimizeContext(context.Background(), cfg); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -66,7 +67,7 @@ func BenchmarkOptimizeKappa(b *testing.B) {
 	for _, kappa := range []int{1, 2, 3, 4} {
 		b.Run(map[int]string{1: "k1", 2: "k2", 3: "k3", 4: "k4"}[kappa], func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := Optimize(Config{
+				if _, err := OptimizeContext(context.Background(), Config{
 					Profile: p, Market: m, Deadline: deadline, Kappa: kappa,
 				}); err != nil {
 					b.Fatal(err)

@@ -23,22 +23,6 @@ func fullSearchConfig(m *cloud.Market) Config {
 	}
 }
 
-func TestOptimizeContextMatchesOptimize(t *testing.T) {
-	m := testMarket(5)
-	cfg := smallConfig(m, app.BT(), 60)
-	want, err := Optimize(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := OptimizeContext(context.Background(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Est != want.Est || len(got.Plan.Groups) != len(want.Plan.Groups) {
-		t.Fatalf("OptimizeContext diverged from Optimize: %+v vs %+v", got.Est, want.Est)
-	}
-}
-
 func TestOptionsOverrideConfig(t *testing.T) {
 	m := testMarket(5)
 	cfg := smallConfig(m, app.BT(), 60)
@@ -116,7 +100,7 @@ func TestConfigValidation(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := base
 			tc.mutate(&cfg)
-			if _, err := Optimize(cfg); !errors.Is(err, ErrInvalidConfig) {
+			if _, err := OptimizeContext(context.Background(), cfg); !errors.Is(err, ErrInvalidConfig) {
 				t.Fatalf("got %v, want ErrInvalidConfig", err)
 			}
 		})
@@ -127,21 +111,17 @@ func TestSentinelErrorsAreDistinct(t *testing.T) {
 	if errors.Is(ErrInvalidConfig, ErrDeadlineInfeasible) || errors.Is(ErrNoCandidates, ErrInvalidConfig) {
 		t.Fatal("sentinels must be distinct")
 	}
-	// The deprecated alias remains the same sentinel.
-	if !errors.Is(ErrNoFeasibleOnDemand, ErrDeadlineInfeasible) {
-		t.Fatal("ErrNoFeasibleOnDemand must alias ErrDeadlineInfeasible")
-	}
 }
 
 func TestBuildGroupsReturnsErrNoCandidates(t *testing.T) {
 	m := testMarket(5)
 	cfg := smallConfig(m, app.BT(), 60)
 	cfg.Candidates = []cloud.MarketKey{{Type: "no-such-type", Zone: "us-east-1a"}}
-	if _, err := Optimize(cfg); !errors.Is(err, ErrNoCandidates) {
+	if _, err := OptimizeContext(context.Background(), cfg); !errors.Is(err, ErrNoCandidates) {
 		t.Fatalf("unknown candidate type returned %v, want ErrNoCandidates", err)
 	}
 	cfg.Candidates = []cloud.MarketKey{{Type: cloud.M1Small.Name, Zone: "nowhere-9z"}}
-	if _, err := Optimize(cfg); !errors.Is(err, ErrNoCandidates) {
+	if _, err := OptimizeContext(context.Background(), cfg); !errors.Is(err, ErrNoCandidates) {
 		t.Fatalf("unknown candidate zone returned %v, want ErrNoCandidates", err)
 	}
 }

@@ -22,9 +22,3 @@ var (
 	// stale Candidates list).
 	ErrNoCandidates = errors.New("opt: no usable candidate circle groups")
 )
-
-// ErrNoFeasibleOnDemand is the pre-v1 name of ErrDeadlineInfeasible; the
-// two are the same sentinel, so errors.Is works with either.
-//
-// Deprecated: use ErrDeadlineInfeasible.
-var ErrNoFeasibleOnDemand = ErrDeadlineInfeasible

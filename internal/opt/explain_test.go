@@ -14,7 +14,7 @@ func TestExplainTrail(t *testing.T) {
 	p := app.BT()
 	cfg := smallConfig(m, p, 60)
 
-	plain, err := Optimize(cfg)
+	plain, err := OptimizeContext(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

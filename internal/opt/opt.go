@@ -291,16 +291,6 @@ type Result struct {
 	Explain *Explain
 }
 
-// Optimize runs the full SOMPI pipeline and returns the cheapest plan
-// whose expected completion time meets the deadline.
-//
-// Deprecated: use OptimizeContext, which adds cancellation and
-// functional options. Optimize remains as a thin wrapper so pre-v1
-// callers keep compiling; it behaves identically.
-func Optimize(cfg Config) (Result, error) {
-	return OptimizeContext(context.Background(), cfg)
-}
-
 // OptimizeContext runs the full SOMPI pipeline and returns the cheapest
 // plan whose expected completion time meets the deadline. Options are
 // applied to cfg first, then defaults, then validation (ErrInvalidConfig
@@ -329,7 +319,7 @@ func OptimizeContext(ctx context.Context, cfg Config, opts ...Option) (Result, e
 	// The decision trail and the span tree share one stage clock; when
 	// neither is requested (no Explain, no collector in ctx) every
 	// instrumentation point below is a nil-receiver no-op and the search
-	// runs exactly as before — the overhead budget cmd/bench -obscheck
+	// runs exactly as before — the overhead budget cmd/smoke's obs stage
 	// enforces.
 	var ex *Explain
 	var t0 time.Time

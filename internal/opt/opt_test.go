@@ -1,6 +1,8 @@
 package opt
 
 import (
+	"context"
+	"errors"
 	"math"
 	"testing"
 
@@ -57,7 +59,7 @@ func TestOptimizeRelaxesSlackUnderTightDeadline(t *testing.T) {
 	fast := FastestOnDemand(cloud.DefaultCatalog(), p)
 	cfg := smallConfig(m, p, fast.T*1.05)
 	cfg.Slack = DefaultSlack
-	res, err := Optimize(cfg)
+	res, err := OptimizeContext(context.Background(), cfg)
 	if err != nil {
 		t.Fatalf("tight deadline should relax slack, got %v", err)
 	}
@@ -141,7 +143,7 @@ func TestOptimizeProducesFeasiblePlan(t *testing.T) {
 	p := app.BT()
 	baseline := FastestOnDemand(cloud.DefaultCatalog(), p)
 	deadline := baseline.T * 1.5
-	res, err := Optimize(smallConfig(m, p, deadline))
+	res, err := OptimizeContext(context.Background(), smallConfig(m, p, deadline))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +162,7 @@ func TestOptimizeBeatsPureOnDemand(t *testing.T) {
 	m := testMarket(4)
 	p := app.BT()
 	deadline := FastestOnDemand(cloud.DefaultCatalog(), p).T * 1.5
-	res, err := Optimize(smallConfig(m, p, deadline))
+	res, err := OptimizeContext(context.Background(), smallConfig(m, p, deadline))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +182,7 @@ func TestOptimizeRespectsKappa(t *testing.T) {
 	deadline := FastestOnDemand(cloud.DefaultCatalog(), p).T * 1.5
 	cfg := smallConfig(m, p, deadline)
 	cfg.Kappa = 1
-	res, err := Optimize(cfg)
+	res, err := OptimizeContext(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,11 +199,11 @@ func TestOptimizeMoreKappaNeverWorse(t *testing.T) {
 	cfg1.Kappa = 1
 	cfg2 := smallConfig(m, p, deadline)
 	cfg2.Kappa = 2
-	r1, err := Optimize(cfg1)
+	r1, err := OptimizeContext(context.Background(), cfg1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := Optimize(cfg2)
+	r2, err := OptimizeContext(context.Background(), cfg2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,9 +218,9 @@ func TestOptimizeMoreKappaNeverWorse(t *testing.T) {
 func TestOptimizeInfeasibleDeadlineFallsBack(t *testing.T) {
 	m := testMarket(7)
 	p := app.BT()
-	res, err := Optimize(smallConfig(m, p, 1)) // 1 hour: impossible
-	if err != ErrNoFeasibleOnDemand {
-		t.Fatalf("err = %v, want ErrNoFeasibleOnDemand", err)
+	res, err := OptimizeContext(context.Background(), smallConfig(m, p, 1)) // 1 hour: impossible
+	if !errors.Is(err, ErrDeadlineInfeasible) {
+		t.Fatalf("err = %v, want ErrDeadlineInfeasible", err)
 	}
 	if len(res.Plan.Groups) != 0 {
 		t.Error("fallback plan should be pure on-demand")
@@ -229,10 +231,10 @@ func TestOptimizeInfeasibleDeadlineFallsBack(t *testing.T) {
 }
 
 func TestOptimizeErrorsOnBadConfig(t *testing.T) {
-	if _, err := Optimize(Config{Profile: app.BT(), Deadline: 10}); err == nil {
+	if _, err := OptimizeContext(context.Background(), Config{Profile: app.BT(), Deadline: 10}); err == nil {
 		t.Error("nil market accepted")
 	}
-	if _, err := Optimize(Config{Profile: app.BT(), Market: testMarket(8)}); err == nil {
+	if _, err := OptimizeContext(context.Background(), Config{Profile: app.BT(), Market: testMarket(8)}); err == nil {
 		t.Error("zero deadline accepted")
 	}
 }
@@ -242,7 +244,7 @@ func TestOptimizeTightDeadlineUsesFastRecovery(t *testing.T) {
 	p := app.FT()
 	fast := FastestOnDemand(cloud.DefaultCatalog(), p)
 	deadline := fast.T * 1.3
-	res, err := Optimize(smallConfig(m, p, deadline))
+	res, err := OptimizeContext(context.Background(), smallConfig(m, p, deadline))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package opt
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"testing"
@@ -41,7 +42,7 @@ func TestOptimizeParallelDeterministic(t *testing.T) {
 			ref := base
 			ref.Workers = 1
 			ref.DisablePruning = true
-			want, err := Optimize(ref)
+			want, err := OptimizeContext(context.Background(), ref)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -52,7 +53,7 @@ func TestOptimizeParallelDeterministic(t *testing.T) {
 					cfg := base
 					cfg.Workers = workers
 					cfg.DisablePruning = !pruned
-					got, err := Optimize(cfg)
+					got, err := OptimizeContext(context.Background(), cfg)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -74,7 +75,7 @@ func TestOptimizePruningCounts(t *testing.T) {
 	deadline := FastestOnDemand(nil, p).T * 1.5
 
 	cfg := Config{Profile: p, Market: m, Deadline: deadline, Workers: 1}
-	res, err := Optimize(cfg)
+	res, err := OptimizeContext(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +84,7 @@ func TestOptimizePruningCounts(t *testing.T) {
 	}
 
 	cfg.DisablePruning = true
-	full, err := Optimize(cfg)
+	full, err := OptimizeContext(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,12 +109,12 @@ func TestOptimizeUnknownCandidateErrors(t *testing.T) {
 
 	cfg := smallConfig(m, p, deadline)
 	cfg.Candidates = []cloud.MarketKey{{Type: "no-such-type", Zone: cloud.ZoneA}}
-	if _, err := Optimize(cfg); err == nil || !strings.Contains(err.Error(), "not in catalog") {
+	if _, err := OptimizeContext(context.Background(), cfg); err == nil || !strings.Contains(err.Error(), "not in catalog") {
 		t.Errorf("unknown type: err = %v, want catalog error", err)
 	}
 
 	cfg.Candidates = []cloud.MarketKey{{Type: cloud.M1Medium.Name, Zone: "no-such-zone"}}
-	if _, err := Optimize(cfg); err == nil || !strings.Contains(err.Error(), "no price history") {
+	if _, err := OptimizeContext(context.Background(), cfg); err == nil || !strings.Contains(err.Error(), "no price history") {
 		t.Errorf("unknown zone: err = %v, want missing-trace error", err)
 	}
 }

@@ -19,7 +19,7 @@ func TestWorkUnitsCoverSpaceExactly(t *testing.T) {
 	cfg.Workers = 1
 	cfg.DisablePruning = true
 	cfg.Candidates = m.Keys()[:4] // = MaxGroups: no ranking evals
-	res, err := Optimize(cfg)
+	res, err := OptimizeContext(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,12 +79,12 @@ func TestScalingSmoke(t *testing.T) {
 	m := testMarket(3)
 	cfg := smallConfig(m, app.BT(), 60)
 	cfg.Workers = 1
-	serial, err := Optimize(cfg)
+	serial, err := OptimizeContext(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg.Workers = 2
-	par, err := Optimize(cfg)
+	par, err := OptimizeContext(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +167,7 @@ func TestInadmissibleIncumbentRetriesCold(t *testing.T) {
 	m := testMarket(11)
 	cfg := smallConfig(m, app.BT(), 60)
 	cfg.Workers = 1
-	cold, err := Optimize(cfg)
+	cold, err := OptimizeContext(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +177,7 @@ func TestInadmissibleIncumbentRetriesCold(t *testing.T) {
 
 	bad := cfg
 	bad.InitialIncumbent = cold.Est.Cost * 0.5
-	warm, err := Optimize(bad)
+	warm, err := OptimizeContext(context.Background(), bad)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +191,7 @@ func TestInadmissibleIncumbentRetriesCold(t *testing.T) {
 	// An admissible hint — the optimum itself — must not trigger a retry.
 	good := cfg
 	good.InitialIncumbent = cold.Est.Cost
-	warm, err = Optimize(good)
+	warm, err = OptimizeContext(context.Background(), good)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,11 +210,11 @@ func TestSerialCountersDeterministic(t *testing.T) {
 	m := testMarket(42)
 	base := smallConfig(m, app.BT(), 60)
 	base.Workers = 1
-	a, err := Optimize(base)
+	a, err := OptimizeContext(context.Background(), base)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Optimize(base)
+	b, err := OptimizeContext(context.Background(), base)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,11 +225,11 @@ func TestSerialCountersDeterministic(t *testing.T) {
 
 	warm := base
 	warm.InitialIncumbent = 50
-	a, err = Optimize(warm)
+	a, err = OptimizeContext(context.Background(), warm)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err = Optimize(warm)
+	b, err = OptimizeContext(context.Background(), warm)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -308,7 +308,7 @@ func TestWarmBoundIsAchievedCost(t *testing.T) {
 	m := testMarket(3)
 	cfg := smallConfig(m, app.BT(), 60)
 	cfg.Workers = 1
-	res, err := Optimize(cfg)
+	res, err := OptimizeContext(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

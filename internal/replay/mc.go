@@ -99,20 +99,6 @@ func (c MCConfig) Validate() error {
 	return nil
 }
 
-// MonteCarlo replays the strategy Runs times from random start points and
-// aggregates cost, time and deadline-miss statistics.
-//
-// Deprecated: use MonteCarloContext, which validates the config with
-// typed errors and supports cancellation. MonteCarlo keeps the pre-v1
-// contract for existing callers: it panics on an invalid config.
-func MonteCarlo(st Strategy, r *Runner, cfg MCConfig) MCStats {
-	stats, err := MonteCarloContext(context.Background(), st, r, cfg)
-	if err != nil {
-		panic(err)
-	}
-	return stats
-}
-
 // MonteCarloContext replays the strategy Runs times from random start
 // points and aggregates cost, time and deadline-miss statistics.
 // Replications run concurrently on Workers goroutines; each replication

@@ -1,6 +1,7 @@
 package replay
 
 import (
+	"context"
 	"sync"
 	"testing"
 
@@ -10,6 +11,17 @@ import (
 
 // mcFingerprint captures every statistic the harness reports, at full
 // float precision, so worker-count independence can be asserted exactly.
+// monteCarlo runs MonteCarloContext to completion, failing the test on
+// a rejected config.
+func monteCarlo(t *testing.T, st Strategy, r *Runner, cfg MCConfig) MCStats {
+	t.Helper()
+	stats, err := MonteCarloContext(context.Background(), st, r, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return stats
+}
+
 func mcFingerprint(t *testing.T, st MCStats) [12]float64 {
 	t.Helper()
 	return [12]float64{
@@ -35,12 +47,12 @@ func TestMonteCarloWorkerCountIndependent(t *testing.T) {
 		},
 	}
 	cfg := MCConfig{Deadline: 50, Runs: 25, Seed: 7, Workers: 1}
-	want := mcFingerprint(t, MonteCarlo(strat, r, cfg))
+	want := mcFingerprint(t, monteCarlo(t, strat, r, cfg))
 	// 3 does not divide 25 (uneven chunks) and 8 exceeds GOMAXPROCS on
 	// small machines (oversubscription) — both must still match serial.
 	for _, workers := range []int{1, 3, 8, 64} {
 		cfg.Workers = workers
-		if got := mcFingerprint(t, MonteCarlo(strat, r, cfg)); got != want {
+		if got := mcFingerprint(t, monteCarlo(t, strat, r, cfg)); got != want {
 			t.Errorf("workers=%d: stats diverged from serial\ngot  %v\nwant %v", workers, got, want)
 		}
 	}
@@ -69,7 +81,7 @@ func TestMonteCarloStartsBoundedByShortestTrace(t *testing.T) {
 			return model.Plan{Recovery: model.NewOnDemand(r.Profile, cloud.CC28XLarge)}, nil
 		},
 	}
-	MonteCarlo(strat, r, MCConfig{Deadline: deadline, Runs: 40, Seed: 3})
+	monteCarlo(t, strat, r, MCConfig{Deadline: deadline, Runs: 40, Seed: 3})
 
 	hi := 500 - 3*deadline // bound imposed by the truncated trace
 	if len(starts) != 40 {

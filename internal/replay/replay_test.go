@@ -269,7 +269,7 @@ func TestMonteCarloAggregates(t *testing.T) {
 			}, nil
 		},
 	}
-	st := MonteCarlo(strat, r, MCConfig{Deadline: 50, Runs: 20, Seed: 1})
+	st := monteCarlo(t, strat, r, MCConfig{Deadline: 50, Runs: 20, Seed: 1})
 	if st.Runs != 20 || st.Failures != 0 {
 		t.Fatalf("Runs=%d Failures=%d", st.Runs, st.Failures)
 	}
@@ -289,21 +289,11 @@ func TestMonteCarloDeterministic(t *testing.T) {
 			return model.Plan{Recovery: model.NewOnDemand(r.Profile, cloud.C3XLarge)}, nil
 		},
 	}
-	a := MonteCarlo(strat, r, MCConfig{Deadline: 40, Runs: 10, Seed: 7})
-	b := MonteCarlo(strat, r, MCConfig{Deadline: 40, Runs: 10, Seed: 7})
+	a := monteCarlo(t, strat, r, MCConfig{Deadline: 40, Runs: 10, Seed: 7})
+	b := monteCarlo(t, strat, r, MCConfig{Deadline: 40, Runs: 10, Seed: 7})
 	if a.Cost.Mean() != b.Cost.Mean() {
 		t.Error("MonteCarlo is not deterministic for a fixed seed")
 	}
-}
-
-func TestMonteCarloPanicsOnZeroRuns(t *testing.T) {
-	r := runner(flatMarket(0.02, 100))
-	defer func() {
-		if recover() == nil {
-			t.Fatal("zero runs did not panic")
-		}
-	}()
-	MonteCarlo(FixedPlan{}, r, MCConfig{Deadline: 10, Runs: 0})
 }
 
 func TestHourlyBillingQuietMarket(t *testing.T) {

@@ -234,7 +234,7 @@ func EncodeEstimate(e model.Estimate) EstimatePayload {
 
 // BuildPlanResponse renders an optimizer result for the wire. It is the
 // single encoding path for both the service handler and out-of-process
-// comparisons (cmd/serve-smoke byte-diffs a served plan against a
+// comparisons (cmd/smoke's serve stage byte-diffs a served plan against a
 // library-path result rendered through this same function).
 func BuildPlanResponse(marketVersion uint64, res opt.Result) PlanResponse {
 	return PlanResponse{

@@ -477,22 +477,38 @@ func (c *clusterNode) forwardPrices(ctx context.Context, name string, ticks []Pr
 	return pr, nil
 }
 
-// fetchStatus reads a peer's /cluster/status.
-func (c *clusterNode) fetchStatus(ctx context.Context, node cluster.Node) (ClusterStatus, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, node.URL+"/cluster/status", nil)
+// peerGet is the one read of a peer's HTTP surface: GET path under the
+// probe timeout, at most limit bytes of body. Anything but 200 is an
+// error carrying the status — a peer answering 503 with a JSON error
+// body must never decode into a zero-valued view of its state.
+func (c *clusterNode) peerGet(ctx context.Context, node cluster.Node, path string, limit int64) ([]byte, error) {
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, node.URL+path, nil)
 	if err != nil {
-		return ClusterStatus{}, err
+		return nil, err
 	}
 	resp, err := c.probeClient.Do(req)
 	if err != nil {
-		return ClusterStatus{}, err
+		return nil, err
 	}
 	defer resp.Body.Close()
-	var st ClusterStatus
-	if err := json.NewDecoder(io.LimitReader(resp.Body, 1<<20)).Decode(&st); err != nil {
-		return ClusterStatus{}, err
+	body, err := io.ReadAll(io.LimitReader(resp.Body, limit))
+	if err != nil {
+		return nil, fmt.Errorf("cluster: reading %s%s: %w", node.Name, path, err)
 	}
-	return st, nil
+	if resp.StatusCode != http.StatusOK {
+		return nil, fmt.Errorf("cluster: node %s answered %s with %d: %s", node.Name, path, resp.StatusCode, clip(string(body), 256))
+	}
+	return body, nil
+}
+
+// fetchStatus reads a peer's /cluster/status.
+func (c *clusterNode) fetchStatus(ctx context.Context, node cluster.Node) (ClusterStatus, error) {
+	var st ClusterStatus
+	body, err := c.peerGet(ctx, node, "/cluster/status", 1<<20)
+	if err == nil {
+		err = json.Unmarshal(body, &st)
+	}
+	return st, err
 }
 
 // syncBarrier blocks until replication has caught up in both
@@ -651,13 +667,8 @@ func (c *clusterNode) probe(peer cluster.Node) {
 // busy-but-alive node is exactly what a failure detector must never
 // declare dead.
 func (c *clusterNode) healthOK(peer cluster.Node) bool {
-	resp, err := c.probeClient.Get(peer.URL + "/cluster/status")
-	if err != nil {
-		return false
-	}
-	io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<16))
-	resp.Body.Close()
-	return resp.StatusCode == http.StatusOK
+	_, err := c.peerGet(context.Background(), peer, "/cluster/status", 1<<16)
+	return err == nil
 }
 
 // promote takes over a dead peer: the follower stops, the staged
@@ -927,7 +938,11 @@ func (s *Server) handleClusterHealthz(w http.ResponseWriter, r *http.Request) {
 		case c.isDead(n.Name):
 			row.Status = "dead"
 		default:
-			hr, err := c.fetchHealth(r.Context(), n)
+			var hr HealthResponse
+			body, err := c.peerGet(r.Context(), n, "/healthz", 1<<20)
+			if err == nil {
+				err = json.Unmarshal(body, &hr)
+			}
 			if err != nil {
 				row.Status = "unreachable"
 				overall = "degraded"
@@ -956,23 +971,6 @@ func (s *Server) handleClusterHealthz(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-func (c *clusterNode) fetchHealth(ctx context.Context, node cluster.Node) (HealthResponse, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, node.URL+"/healthz", nil)
-	if err != nil {
-		return HealthResponse{}, err
-	}
-	resp, err := c.probeClient.Do(req)
-	if err != nil {
-		return HealthResponse{}, err
-	}
-	defer resp.Body.Close()
-	var hr HealthResponse
-	if err := json.NewDecoder(io.LimitReader(resp.Body, 1<<20)).Decode(&hr); err != nil {
-		return HealthResponse{}, err
-	}
-	return hr, nil
-}
-
 // handleClusterMetrics concatenates every reachable node's /metrics
 // exposition into one cluster-wide page, tagging each sample line with
 // a node label and deduplicating family headers (every node runs the
@@ -994,9 +992,9 @@ func (s *Server) handleClusterMetrics(w http.ResponseWriter, r *http.Request) {
 			// A dead node exports nothing; its shards report through the
 			// promoting node's exposition.
 		default:
-			text, err := c.fetchMetrics(r.Context(), n)
+			text, err := c.peerGet(r.Context(), n, "/metrics", 8<<20)
 			if err == nil {
-				parts = append(parts, exposition{n.Name, text})
+				parts = append(parts, exposition{n.Name, string(text)})
 			}
 		}
 	}
@@ -1025,23 +1023,6 @@ func (s *Server) handleClusterMetrics(w http.ResponseWriter, r *http.Request) {
 			w.Write([]byte("\n"))
 		}
 	}
-}
-
-func (c *clusterNode) fetchMetrics(ctx context.Context, node cluster.Node) (string, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, node.URL+"/metrics", nil)
-	if err != nil {
-		return "", err
-	}
-	resp, err := c.probeClient.Do(req)
-	if err != nil {
-		return "", err
-	}
-	defer resp.Body.Close()
-	b, err := io.ReadAll(io.LimitReader(resp.Body, 8<<20))
-	if err != nil {
-		return "", err
-	}
-	return string(b), nil
 }
 
 // injectNodeLabel rewrites one exposition sample line to carry

@@ -2,9 +2,11 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"net"
 	"net/http"
+	"net/http/httptest"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -146,6 +148,57 @@ func waitFor(t *testing.T, d time.Duration, cond func() bool, msg string) {
 		time.Sleep(20 * time.Millisecond)
 	}
 	t.Fatal(msg)
+}
+
+// A peer that answers 503 with a JSON error body is a failed read, not
+// a peer whose WAL sits at {0,0} with zero re-optimizations: its status
+// must not seed the ?sync=1 counter bases (a zero base makes the delta
+// the peer's lifetime total), and the merged health view must call it
+// unreachable.
+func TestPeerGetRejectsNon200(t *testing.T) {
+	stub := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		writeError(w, http.StatusServiceUnavailable, errIngestClosed)
+	}))
+	defer stub.Close()
+	dir := t.TempDir()
+	st, err := store.Open(dir, store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := New(Config{
+		Market: durableMarket(),
+		Store:  st,
+		Cluster: &ClusterConfig{
+			Self:       "a",
+			Nodes:      []cluster.Node{{Name: "a", URL: "http://127.0.0.1:1"}, {Name: "b", URL: stub.URL}},
+			StandbyDir: filepath.Join(dir, "standby"),
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	c, ctx := s.cluster, context.Background()
+	peer := c.topo.Peers()[0]
+
+	if st, err := c.fetchStatus(ctx, peer); err == nil || !strings.Contains(err.Error(), "503") {
+		t.Fatalf("fetchStatus of a 503 peer = %+v, %v; want an error naming the status", st, err)
+	}
+	if base := c.peerCounters(ctx); len(base) != 0 {
+		t.Fatalf("503 peer seeded counter bases: %v", base)
+	}
+	if c.healthOK(peer) {
+		t.Fatal("prober counted a 503 as healthy")
+	}
+	rec := httptest.NewRecorder()
+	s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/cluster/healthz", nil))
+	var ch ClusterHealthResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &ch); err != nil {
+		t.Fatalf("merged healthz %s: %v", rec.Body, err)
+	}
+	if ch.Status != "degraded" || len(ch.Nodes) != 2 || ch.Nodes[1].Status != "unreachable" {
+		t.Fatalf("merged healthz with a 503 peer: %+v", ch)
+	}
 }
 
 // TestClusterForwardingAndPlanParity drives the happy path: disjoint

@@ -114,27 +114,13 @@ func (t *trackedSession) state() sessionState {
 	}
 }
 
-// persistTick is the cloud.PersistFunc the server installs: it logs one
-// tick WAL-first. It runs under the target shard's write lock, so a
-// failure here aborts the append before any in-memory state moved.
-func (s *Server) persistTick(key cloud.MarketKey, samples []float64, version uint64) error {
-	payload, err := store.EncodeTick(store.Tick{Type: key.Type, Zone: key.Zone, Version: version, Prices: samples})
-	if err != nil {
-		return err
-	}
-	if err := s.store.Append(store.Record{Type: store.RecordTick, Payload: payload}); err != nil {
-		s.met.walAppendErrors.Add(1)
-		return err
-	}
-	return nil
-}
-
-// persistTickBatch is the cloud.PersistBatchFunc behind batched ingest:
-// one shard's whole run of ticks logged under one store mutex hold with
-// one trailing fsync. It runs under the target shard's write lock and
-// honors the prefix contract (see cloud.PersistBatchFunc): the returned
-// count is exactly what WAL replay will reconstruct, so the market
-// applies exactly that.
+// persistTickBatch is the cloud.PersistBatchFunc the server installs:
+// one shard's whole run of ticks logged WAL-first under one store mutex
+// hold with one trailing fsync. It runs under the target shard's write
+// lock, so nothing in memory has moved when it fails, and honors the
+// prefix contract (see cloud.PersistBatchFunc): the returned count is
+// exactly what WAL replay will reconstruct, so the market applies
+// exactly that.
 func (s *Server) persistTickBatch(key cloud.MarketKey, ticks [][]float64, firstVersion uint64) (int, error) {
 	recs := make([]store.Record, len(ticks))
 	for i, samples := range ticks {
@@ -450,7 +436,6 @@ func (s *Server) Close() error {
 		// snapshot, so log and continue.
 		s.log.Error("shutdown snapshot failed", "error", err.Error())
 	}
-	s.market.SetPersist(nil)
 	s.market.SetPersistBatch(nil)
 	return s.store.Close()
 }

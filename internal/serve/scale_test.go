@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -300,6 +302,11 @@ func TestAsyncSchedulerMatchesLockstep(t *testing.T) {
 // (one optimizer run fans out to every session) so the test spends its
 // time where the PR does — the ingest queues, the scheduler heaps and
 // the dedup cache — not in the optimizer.
+//
+// The ingest_p99_ratio sub-test is the serve path's scaling gate:
+// single-tick ingest latency with every session registered must stay
+// within 2x of the empty-server baseline, because the batched appliers
+// and the scheduler keep session work off the request path.
 func TestManySessionsUnderConcurrentIngest(t *testing.T) {
 	sessions := 10000
 	if raceEnabled {
@@ -310,6 +317,34 @@ func TestManySessionsUnderConcurrentIngest(t *testing.T) {
 	}
 
 	s, ts := newMemServer(t, Config{Market: durableMarket(), WindowHours: 2})
+	// 200 single-sample ticks over 12 shards is 1.4h of market time per
+	// phase: the loaded phase stays short of the sessions' 2h boundary.
+	tickPrice := 0.02
+	ingestP99 := func() time.Duration {
+		const iters = 200
+		h, keys := s.Handler(), s.market.Keys()
+		lat := make([]time.Duration, 0, iters)
+		for len(lat) < iters {
+			key := keys[len(lat)%len(keys)]
+			tickPrice += 0.0001
+			body := fmt.Sprintf(`{"type":%q,"zone":%q,"prices":[%g]}`, key.Type, key.Zone, tickPrice)
+			rec := httptest.NewRecorder()
+			start := time.Now()
+			h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/prices", strings.NewReader(body)))
+			switch rec.Code {
+			case http.StatusOK:
+				lat = append(lat, time.Since(start))
+			case http.StatusTooManyRequests: // a backpressure retry is not an apply latency
+				time.Sleep(5 * time.Millisecond)
+			default:
+				t.Fatalf("ingest %v: %d %s", key, rec.Code, rec.Body)
+			}
+		}
+		sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
+		return lat[iters*99/100]
+	}
+	baselineP99 := ingestP99()
+
 	req := trackedPlan()
 	profile, ok := app.ByName(req.App)
 	if !ok {
@@ -333,6 +368,21 @@ func TestManySessionsUnderConcurrentIngest(t *testing.T) {
 	if got := s.met.activeSessions.Load(); got != int64(sessions) {
 		t.Fatalf("active sessions %d, want %d", got, sessions)
 	}
+	loadedP99 := ingestP99()
+	t.Run("ingest_p99_ratio", func(t *testing.T) {
+		ratio := float64(loadedP99) / float64(baselineP99)
+		t.Logf("ingest p99: %v empty, %v with %d sessions (%.2fx)", baselineP99, loadedP99, sessions, ratio)
+		// The ratio needs real parallelism to mean anything: below 4 cores
+		// the re-opt workers and the client time-slice one CPU, and under
+		// the race detector every memory access is instrumented, so a slow
+		// loaded phase measures the machine, not the request path.
+		if runtime.NumCPU() < 4 || raceEnabled {
+			t.Skipf("ratio gate needs >= 4 CPUs without -race (have %d, race=%v)", runtime.NumCPU(), raceEnabled)
+		}
+		if ratio > 2 {
+			t.Fatalf("ingest p99 with %d sessions is %.2fx the empty-server baseline, want <= 2x", sessions, ratio)
+		}
+	})
 	reoptsBefore := s.met.reoptimizations.Load()
 
 	// 2.5 hours of flat prices — one boundary for every session — fed as

@@ -101,7 +101,7 @@ type Config struct {
 // readers take lock-free snapshots — and each tracked session carries
 // its own t.mu, so the server's RWMutex fences just the session
 // registry (the map, ordering and id counter). Lock ordering (see
-// DESIGN.md §13): s.mu → t.mu → {shard locks, store mutex}; s.mu →
+// DESIGN.md §16): s.mu → t.mu → {shard locks, store mutex}; s.mu →
 // sched.mu → shard read locks; never t.mu → sched.mu and never the
 // reverse of any edge — shard and store locks are leaves.
 type Server struct {
@@ -127,9 +127,9 @@ type Server struct {
 	// single-flight cache that coalesces identical optimizer runs.
 	ing    *ingester
 	sched  *reoptScheduler
-	reopts *reoptCache
+	reopts *lru[opt.Result]
 
-	cache *planCache
+	cache *lru[[]byte]
 	// reuse carries prepared-group state and evaluated subset costs
 	// across every optimization the server runs — plan requests and
 	// session re-opts alike. Hits are keyed on the shard version vector,
@@ -170,7 +170,7 @@ func New(cfg Config) (*Server, error) {
 		timeout:  cfg.RequestTimeout,
 		market:   cfg.Market,
 		sessions: make(map[string]*trackedSession),
-		cache:    newPlanCache(cfg.CacheSize),
+		cache:    newLRU[[]byte](cfg.CacheSize),
 		reuse:    opt.NewReuseCache(),
 		col:      cfg.Collector,
 		log:      cfg.Logger,
@@ -190,7 +190,7 @@ func New(cfg Config) (*Server, error) {
 		s.timeout = 60 * time.Second
 	}
 	if cfg.CacheSize == 0 {
-		s.cache = newPlanCache(256)
+		s.cache = newLRU[[]byte](256)
 	}
 	// With ring-buffer retention, a tracked session trains on the
 	// trailing HistoryHours behind each T_m boundary; a bound shorter
@@ -214,7 +214,6 @@ func New(cfg Config) (*Server, error) {
 			return nil, fmt.Errorf("serve: recovering from %s: %w", s.store.Dir(), err)
 		}
 		s.store.SetFsyncObserver(func(seconds float64) { s.met.walFsync.Observe(seconds) })
-		s.market.SetPersist(s.persistTick)
 		s.market.SetPersistBatch(s.persistTickBatch)
 	}
 
@@ -228,7 +227,7 @@ func New(cfg Config) (*Server, error) {
 	}
 
 	s.runCtx, s.runCancel = context.WithCancel(context.Background())
-	s.reopts = newReoptCache(s.cache.cap)
+	s.reopts = newLRU[opt.Result](s.cache.cap)
 	workers := cfg.ReoptWorkers
 	switch {
 	case workers == 0:
@@ -526,9 +525,17 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 	}
 	planStart := time.Now()
 	defer func() { s.met.observeStrategy(d.Name, time.Since(planStart).Seconds()) }()
+	// A named strategy plans through the registry; the empty field is the
+	// default path, which calls the optimizer directly so its bytes never
+	// depend on the registry. Everything around the planning call —
+	// snapshot, cache, tracking, encoding — is shared.
+	var st strategy.Strategy
 	if req.Strategy != "" {
-		s.servePlanStrategy(w, r, req, profile)
-		return
+		var err error
+		if st, err = strategy.New(req.Strategy, effectiveStrategyParams(req)); err != nil {
+			writeError(w, statusOf(err), err)
+			return
+		}
 	}
 	snap, keys, frontier, train := s.trainSnapshot(req, s.historyOr(req.HistoryHours))
 	if len(req.Types)+len(req.Zones) > 0 && len(keys) == 0 {
@@ -559,28 +566,47 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 
 	ctx, cancel := context.WithTimeout(r.Context(), s.timeout)
 	defer cancel()
-	cfg := req.Config(profile, train)
-	cfg.Explain = explain
-	cfg.Reuse = s.reuse
-	// Identical concurrent plan requests — the byte cache only answers
-	// after a leader finishes — coalesce onto one optimizer run. The key
-	// includes the version vector (same content pin the byte cache uses),
-	// so a share is byte-identical work, and Track requests share too:
-	// k tracked registrations of the same workload need one search, not
-	// k. Explained runs stay solo — their trail is per-request.
-	var res opt.Result
-	var shared bool
-	var err error
+	var notes []string
+	plan := func() (opt.Result, error) {
+		cfg := req.Config(profile, train)
+		cfg.Explain = explain
+		cfg.Reuse = s.reuse
+		return opt.OptimizeContext(ctx, cfg)
+	}
+	if st != nil {
+		plan = func() (opt.Result, error) {
+			strategy.Configure(st, keys, s.reuse)
+			if so, ok := st.(*strategy.SOMPI); ok {
+				so.Explain = explain
+			}
+			p, ex, err := st.Plan(ctx, train, strategy.Workload{Profile: profile}, strategy.Deadline{Hours: req.DeadlineHours})
+			res := opt.Result{Plan: p.Model, Est: p.Est, Evals: p.Evals, Pruned: p.Pruned, SavedEvals: p.SavedEvals}
+			if explain && ex != nil {
+				res.Explain, notes = ex.Opt, ex.Notes
+			}
+			return res, err
+		}
+	}
 	run := func() (opt.Result, error) {
-		r, e := opt.OptimizeContext(ctx, cfg)
+		r, e := plan()
 		s.met.evals.Add(int64(r.Evals))
 		s.met.pruned.Add(int64(r.Pruned))
 		s.met.evalsSaved.Add(int64(r.SavedEvals))
 		return r, e
 	}
-	if explain {
+	// Identical concurrent default-path requests — the byte cache only
+	// answers after a leader finishes — coalesce onto one optimizer run.
+	// The key includes the version vector (same content pin the byte cache
+	// uses), so a share is byte-identical work, and Track requests share
+	// too: k tracked registrations of the same workload need one search,
+	// not k. Explained runs stay solo — their trail is per-request — and
+	// so do named strategies.
+	var res opt.Result
+	var err error
+	if explain || st != nil {
 		res, err = run()
 	} else {
+		var shared bool
 		res, shared, err = s.reopts.do(ctx, "plan|"+key, run)
 		if shared {
 			s.met.reoptDeduped.Add(1)
@@ -595,6 +621,7 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 	}
 
 	resp := BuildPlanResponse(version, res)
+	resp.Strategy, resp.StrategyNotes = req.Strategy, notes
 	if req.Track {
 		id, rerr := s.registerSession(profile, req, res, version, frontier, keys)
 		if rerr != nil {
@@ -906,15 +933,7 @@ func (s *Server) handlePrices(w http.ResponseWriter, r *http.Request) {
 		// answering, keeping the partial-apply semantics observable.
 		flushAll()
 		wait()
-		switch {
-		case errors.Is(err, errIngestBacklog):
-			w.Header().Set("Retry-After", "1")
-			writeError(w, http.StatusTooManyRequests, err)
-		case errors.Is(err, errIngestClosed):
-			writeError(w, http.StatusServiceUnavailable, err)
-		default:
-			writeError(w, statusOf(err), err)
-		}
+		writeIngestError(w, err)
 		return
 	}
 	err := flushAll()
@@ -922,16 +941,12 @@ func (s *Server) handlePrices(w http.ResponseWriter, r *http.Request) {
 		err = werr
 	}
 	if err != nil {
-		switch {
-		case errors.Is(err, errIngestBacklog):
-			w.Header().Set("Retry-After", "1")
-			writeError(w, http.StatusTooManyRequests, err)
-		case errors.Is(err, errIngestClosed):
-			writeError(w, http.StatusServiceUnavailable, err)
-		default:
-			writeError(w, statusOf(fmt.Errorf("after %d ticks: %w", resp.Ticks, err)),
-				fmt.Errorf("after %d ticks: %w", resp.Ticks, err))
+		// A tick's own failure is positioned in the feed; backpressure and
+		// shutdown are about the server, not a tick, and go out bare.
+		if !errors.Is(err, errIngestBacklog) && !errors.Is(err, errIngestClosed) {
+			err = fmt.Errorf("after %d ticks: %w", resp.Ticks, err)
 		}
+		writeIngestError(w, err)
 		return
 	}
 	// Forward each peer's collected ticks as one sub-request; the peer
@@ -984,6 +999,21 @@ func (s *Server) handlePrices(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	writeJSON(w, http.StatusOK, resp)
+}
+
+// writeIngestError answers a failed feed: a full applier queue is 429
+// with Retry-After (the backpressure signal), a closing server 503, and
+// anything else the status of the tick error itself.
+func writeIngestError(w http.ResponseWriter, err error) {
+	switch {
+	case errors.Is(err, errIngestBacklog):
+		w.Header().Set("Retry-After", "1")
+		writeError(w, http.StatusTooManyRequests, err)
+	case errors.Is(err, errIngestClosed):
+		writeError(w, http.StatusServiceUnavailable, err)
+	default:
+		writeError(w, statusOf(err), err)
+	}
 }
 
 // forEachTick decodes the tick stream — any whitespace-separated mix of

@@ -1,13 +1,8 @@
 package serve
 
 import (
-	"context"
-	"encoding/json"
-	"errors"
-	"fmt"
 	"net/http"
 
-	"sompi/internal/app"
 	"sompi/internal/opt"
 	"sompi/internal/strategy"
 )
@@ -96,83 +91,4 @@ func sessionStrategy(req PlanRequest, base *opt.Config) (strategy.Strategy, erro
 		return nil, nil
 	}
 	return st, nil
-}
-
-// servePlanStrategy is handlePlan's named-strategy branch: the same
-// snapshot/cache/track pipeline, planning through the registry instead
-// of calling the optimizer directly. It never runs for an empty
-// strategy field, so the default path's bytes stay untouched.
-func (s *Server) servePlanStrategy(w http.ResponseWriter, r *http.Request, req PlanRequest, profile app.Profile) {
-	st, err := strategy.New(req.Strategy, effectiveStrategyParams(req))
-	if err != nil {
-		writeError(w, statusOf(err), err)
-		return
-	}
-	snap, keys, frontier, train := s.trainSnapshot(req, s.historyOr(req.HistoryHours))
-	if len(req.Types)+len(req.Zones) > 0 && len(keys) == 0 {
-		err := fmt.Errorf("%w: types/zones filter matches no market", opt.ErrNoCandidates)
-		writeError(w, statusOf(err), err)
-		return
-	}
-	version := snap.Version()
-
-	explain := r.URL.Query().Get("explain") == "1"
-	key := planKey(req, snap.VersionVector(), keys)
-	if !req.Track && !explain {
-		if body, ok := s.cache.get(key); ok {
-			s.met.cacheHits.Add(1)
-			s.met.strategyCache(req.Strategy, true)
-			w.Header().Set("X-Sompid-Cache", "hit")
-			writeBody(w, http.StatusOK, body)
-			return
-		}
-		s.met.cacheMisses.Add(1)
-		s.met.strategyCache(req.Strategy, false)
-		w.Header().Set("X-Sompid-Cache", "miss")
-	}
-
-	ctx, cancel := context.WithTimeout(r.Context(), s.timeout)
-	defer cancel()
-	strategy.Configure(st, keys, s.reuse)
-	if so, ok := st.(*strategy.SOMPI); ok {
-		so.Explain = explain
-	}
-	p, ex, err := st.Plan(ctx, train, strategy.Workload{Profile: profile}, strategy.Deadline{Hours: req.DeadlineHours})
-	s.met.evals.Add(int64(p.Evals))
-	s.met.pruned.Add(int64(p.Pruned))
-	s.met.evalsSaved.Add(int64(p.SavedEvals))
-	if err != nil {
-		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-			s.met.cancelled.Add(1)
-		}
-		writeError(w, statusOf(err), err)
-		return
-	}
-
-	res := opt.Result{Plan: p.Model, Est: p.Est, Evals: p.Evals, Pruned: p.Pruned, SavedEvals: p.SavedEvals}
-	if explain && ex != nil {
-		res.Explain = ex.Opt
-	}
-	resp := BuildPlanResponse(version, res)
-	resp.Strategy = req.Strategy
-	if explain && ex != nil {
-		resp.StrategyNotes = ex.Notes
-	}
-	if req.Track {
-		id, rerr := s.registerSession(profile, req, res, version, frontier, keys)
-		if rerr != nil {
-			writeError(w, http.StatusInternalServerError, rerr)
-			return
-		}
-		resp.SessionID = id
-	}
-	body, merr := json.Marshal(resp)
-	if merr != nil {
-		writeError(w, http.StatusInternalServerError, merr)
-		return
-	}
-	if !req.Track && !explain {
-		s.cache.put(key, body)
-	}
-	writeBody(w, http.StatusOK, body)
 }

@@ -112,13 +112,6 @@ func GenerateMarket(hours float64, seed uint64) *Market {
 // the given instance type (the paper's Section 4.4 performance model).
 func EstimateHours(p Profile, it InstanceType) float64 { return app.EstimateHours(p, it) }
 
-// Optimize runs the SOMPI optimizer and returns the cheapest plan whose
-// expected completion time meets the deadline.
-//
-// Deprecated: use OptimizeContext, which adds cancellation, functional
-// options and typed errors. Optimize behaves identically.
-func Optimize(cfg Config) (Result, error) { return opt.Optimize(cfg) }
-
 // OptimizeContext runs the SOMPI optimizer under ctx: cancelling aborts
 // the κ-subset search at the next evaluation and returns ctx.Err()
 // alongside a partial Result. Invalid configurations are reported as
@@ -168,15 +161,6 @@ func NewSession(r *Runner, deadline, start float64) *Session {
 // Evaluate computes the expected monetary cost and execution time of a
 // plan under the paper's cost model.
 func Evaluate(p Plan) Estimate { return model.Evaluate(p) }
-
-// MonteCarlo replays a strategy repeatedly from random trace start points.
-//
-// Deprecated: use MonteCarloContext, which validates the configuration
-// with typed errors and supports cancellation; MonteCarlo panics on an
-// invalid configuration.
-func MonteCarlo(s Strategy, r *Runner, cfg MCConfig) MCStats {
-	return replay.MonteCarlo(s, r, cfg)
-}
 
 // MonteCarloContext replays a strategy repeatedly from random trace
 // start points under ctx. Results are identical at every worker count

@@ -23,7 +23,7 @@ func TestFacadeEndToEnd(t *testing.T) {
 		t.Fatal("no baseline time")
 	}
 
-	res, err := Optimize(Config{
+	res, err := OptimizeContext(context.Background(), Config{
 		Profile:  bt,
 		Market:   market.Window(0, 96),
 		Deadline: baseline * 1.5,
@@ -42,11 +42,11 @@ func TestFacadeEndToEnd(t *testing.T) {
 	}
 
 	runner := &Runner{Market: market, Profile: bt}
-	st := MonteCarlo(NewSOMPI(market), runner, MCConfig{
+	st, err := MonteCarloContext(context.Background(), NewSOMPI(market), runner, MCConfig{
 		Deadline: baseline * 1.5, Runs: 2, Seed: 1,
 	})
-	if st.Runs != 2 {
-		t.Fatalf("MonteCarlo ran %d times", st.Runs)
+	if err != nil || st.Runs != 2 {
+		t.Fatalf("MonteCarlo ran %d times (err %v)", st.Runs, err)
 	}
 	if st.Cost.Mean() <= 0 {
 		t.Fatal("no cost recorded")
@@ -104,7 +104,7 @@ func TestFacadeV1ContextAPI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	legacy, err := Optimize(Config{
+	legacy, err := OptimizeContext(context.Background(), Config{
 		Profile: bt, Market: market.Window(0, 96), Deadline: deadline * 3,
 		Workers: 1, Kappa: 2, GridLevels: 3,
 	})
@@ -189,9 +189,9 @@ func TestFacadeStrategyCatalog(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mc := MonteCarlo(ReplayStrategy(st, market, 96),
+	mc, err := MonteCarloContext(context.Background(), ReplayStrategy(st, market, 96),
 		&Runner{Market: market, Profile: bt}, MCConfig{Deadline: deadline, Runs: 2, Seed: 1})
-	if mc.Runs != 2 || mc.Cost.Mean() <= 0 {
+	if err != nil || mc.Runs != 2 || mc.Cost.Mean() <= 0 {
 		t.Fatalf("noft replay stats %+v", mc)
 	}
 
