@@ -58,14 +58,19 @@ replay-smoke:
 cluster-smoke:
 	$(SMOKE) cluster
 
-# Short-budget fuzz pass over the WAL record codec: the decoders must
-# return typed errors, never panic, on arbitrary torn/corrupt input.
+# Short-budget fuzz pass over every fuzz target in the tree. The WAL
+# record and capture-log decoders must return typed errors, never panic,
+# on arbitrary torn/corrupt input; the /v1/prices tick-stream parser
+# must answer any body with a JSON envelope and apply exactly the ticks
+# it reports; /metrics label escaping must round-trip any string.
 # (go test -fuzz takes one target per invocation.)
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test ./internal/store -run '^$$' -fuzz 'FuzzDecodeRecord' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/store -run '^$$' -fuzz 'FuzzDecodeTick' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/harness -run '^$$' -fuzz 'FuzzDecodeCaptureRecord' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/serve -run '^$$' -fuzz 'FuzzIngestPrices' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/serve -run '^$$' -fuzz 'FuzzEscapeLabel' -fuzztime $(FUZZTIME)
 
 # Same gates as running serve-smoke, tournament-smoke, replay-smoke and
 # cluster-smoke one by one; the three process smokes share one cmd/smoke

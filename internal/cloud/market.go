@@ -567,10 +567,11 @@ func (m *Market) Snapshot() MarketView { return m.Capture() }
 // a shard's version, exact bounds fully determine that shard's visible
 // trace content — which is what lets the optimizer's delta-reuse cache
 // (opt.ReuseCache) key prepared per-group state on (version, window)
-// and skip re-deriving failure distributions for shards that did not
-// change. Views whose bounds cannot be stated exactly (e.g. a window of
-// a window, whose clamps compose through sample rounding) report
-// exact=false and are simply not reused.
+// and skip re-deriving failure distributions, bid grids and ranking
+// costs for shards that did not change. Views whose bounds cannot be
+// stated exactly (e.g. a window of a window, whose clamps compose
+// through sample rounding) report exact=false and are simply not
+// reused.
 func (m *Market) WindowBounds() (start, dur float64, exact bool) {
 	return 0, math.Inf(1), true
 }

@@ -95,13 +95,13 @@ type Config struct {
 	// subset search cold (Result.WarmRetried). Zero (or a seed above the
 	// baseline) disables warm starting.
 	InitialIncumbent float64
-	// Reuse, when non-nil, carries prepared-group state and evaluated
-	// subset costs across optimizations of the same market. Hits are
-	// exact — keyed on the shard version vector and window bounds — so
-	// the plan is unaffected; skipped work is reported in
-	// Result.SavedEvals and Result.ReusedGroups. Views that cannot state
-	// their window bounds exactly run cold. The cache is safe for
-	// concurrent optimizations.
+	// Reuse, when non-nil, carries prepared-group state (failure
+	// distributions, bid grids, standalone ranking costs) across
+	// optimizations of the same market. Hits are exact — keyed on the
+	// shard version vector and window bounds — so the plan is
+	// unaffected; skipped work is reported in Result.SavedEvals and
+	// Result.ReusedGroups. Views that cannot state their window bounds
+	// exactly run cold. The cache is safe for concurrent optimizations.
 	Reuse *ReuseCache
 	// Explain records the decision trail — per-candidate keep/reject
 	// reasons, per-stage durations, the selected subset — into
@@ -262,19 +262,21 @@ type Result struct {
 	// worker count, with or without pruning, warm starting and reuse.
 	// Evals and Pruned are exactly deterministic at Workers: 1 — the
 	// single worker drains the unit queue in the fixed dispatch order,
-	// so the incumbent trajectory is a pure function of the Config (and,
-	// with Config.Reuse, of the cache contents at entry); two identical
-	// calls return identical counters, which the determinism tests
-	// assert. At Workers > 1 the counters are boundedly nondeterministic:
-	// scheduling decides how quickly the shared incumbent tightens, so
-	// Evals+Pruned still covers the same leaf space but the split
-	// between the two (and Evals itself) varies run to run.
+	// so the incumbent trajectory is a pure function of the Config; two
+	// identical calls return identical counters, which the determinism
+	// tests assert. Config.Reuse never touches the search: it can only
+	// move ranking evaluations (at most GridLevels per reused group) from
+	// Evals into SavedEvals, so Pruned and Evals+SavedEvals are the same
+	// with or without it. At Workers > 1 the counters are boundedly
+	// nondeterministic: scheduling decides how quickly the shared
+	// incumbent tightens, so Evals+Pruned still covers the same leaf
+	// space but the split between the two (and Evals itself) varies run
+	// to run.
 	Evals  int
 	Pruned int
-	// SavedEvals counts leaf evaluations answered by Config.Reuse's
-	// memo instead of the cost model (each would otherwise appear in
-	// Evals), plus ranking-stage standalone evaluations skipped for
-	// unchanged candidates.
+	// SavedEvals counts ranking-stage standalone evaluations answered by
+	// Config.Reuse's per-group memo for unchanged candidates instead of
+	// the cost model (each would otherwise appear in Evals).
 	SavedEvals int
 	// ReusedGroups counts candidate groups whose prepared state
 	// (failure distributions, bid grid, spot-cost floor) came from
@@ -481,12 +483,10 @@ func OptimizeContext(ctx context.Context, cfg Config, opts ...Option) (Result, e
 		sort.Slice(scores, func(a, b int) bool { return scores[a].score < scores[b].score })
 		keptGroups := make([]*model.Group, cfg.MaxGroups)
 		keptPrepared := make([][]*model.PreparedGroup, cfg.MaxGroups)
-		keptEntries := make([]*reuseEntry, cfg.MaxGroups)
 		keptMinSpot := make([]float64, cfg.MaxGroups)
 		for j := 0; j < cfg.MaxGroups; j++ {
 			keptGroups[j] = groups[scores[j].idx]
 			keptPrepared[j] = prepared[scores[j].idx]
-			keptEntries[j] = entries[scores[j].idx]
 			keptMinSpot[j] = minSpot[scores[j].idx]
 		}
 		if ex != nil {
@@ -502,7 +502,7 @@ func OptimizeContext(ctx context.Context, cfg Config, opts ...Option) (Result, e
 				}
 			}
 		}
-		groups, prepared, entries, minSpot = keptGroups, keptPrepared, keptEntries, keptMinSpot
+		groups, prepared, minSpot = keptGroups, keptPrepared, keptMinSpot
 	}
 
 	kappa := cfg.Kappa
@@ -550,27 +550,6 @@ func OptimizeContext(ctx context.Context, cfg Config, opts ...Option) (Result, e
 		ex.WorkUnits = len(units)
 	}
 
-	// Leaf memo: evaluated subset costs from previous optimizations of
-	// unchanged shards. Only leaves whose every member group carries a
-	// cache id are memoizable; grids too long to pack disable it.
-	var leafMemo map[leafKey]model.Estimate
-	var leafIDs []uint32
-	if rb != nil && cfg.GridLevels <= 1<<leafBidBits && kappa <= maxLeafSubset {
-		leafIDs = make([]uint32, len(groups))
-		usable := false
-		for i, e := range entries {
-			if e != nil && e.id > 0 && e.id < maxLeafID {
-				leafIDs[i] = e.id
-				usable = true
-			}
-		}
-		if usable {
-			leafMemo = rb.cache.leafSnapshot()
-		} else {
-			leafIDs = nil
-		}
-	}
-
 	// Cancellation: a watcher goroutine flips stop when ctx is done, and
 	// every worker polls the flag on each bid-grid descent, so an
 	// abandoned request stops burning CPU within roughly one cost-model
@@ -598,7 +577,7 @@ func OptimizeContext(ctx context.Context, cfg Config, opts ...Option) (Result, e
 	// including one exactly equal to the optimum — changes which leaves
 	// are pruned but never which of the surviving leaves is accepted.
 	baselineCost := best.Est.Cost
-	runSearch := func(seed float64) (bestUnit Result, found bool, evals, pruned, saved int) {
+	runSearch := func(seed float64) (bestUnit Result, found bool, evals, pruned int) {
 		incumbent := newSharedCost(seed)
 		results := make([]unitResult, len(units))
 		newSearcher := func() *searcher {
@@ -611,25 +590,19 @@ func OptimizeContext(ctx context.Context, cfg Config, opts ...Option) (Result, e
 				baseline:  baselineCost,
 				incumbent: incumbent,
 				stop:      &stop,
-				leafMemo:  leafMemo,
-				leafIDs:   leafIDs,
 				subset:    make([]int, 0, kappa),
 				pgs:       make([]*model.PreparedGroup, 0, kappa),
-				bidIdx:    make([]int, kappa),
 				partial:   make([]float64, kappa+1),
 				suffixMin: make([]float64, kappa+1),
 				leaves:    make([]int, kappa+1),
 			}
 		}
-		var inserts []map[leafKey]model.Estimate
-		if workers == 1 {
-			// Serial fast path: one searcher drains the dispatch order
-			// in-line, so the incumbent trajectory — and with it Evals and
-			// Pruned — is a pure function of the Config.
+		// drain is one worker's loop: search the units next hands out until
+		// it runs dry, under one opt.search.worker span.
+		drain := func(s *searcher, next func() (int, bool)) {
 			_, wsp := obs.StartSpan(ctx, "opt.search.worker")
-			s := newSearcher()
 			unitsRun, wevals, wpruned := 0, 0, 0
-			for _, ui := range order {
+			for ui, ok := next(); ok; ui, ok = next() {
 				results[ui] = s.searchUnit(&units[ui])
 				unitsRun++
 				wevals += results[ui].evals
@@ -641,31 +614,31 @@ func OptimizeContext(ctx context.Context, cfg Config, opts ...Option) (Result, e
 				wsp.AttrInt("pruned", int64(wpruned))
 				wsp.End()
 			}
-			inserts = append(inserts, s.leafNew)
+		}
+		if workers == 1 {
+			// Serial fast path: one searcher drains the dispatch order
+			// in-line on the caller's goroutine, so the incumbent trajectory
+			// — and with it Evals and Pruned — is a pure function of the
+			// Config.
+			i := 0
+			drain(newSearcher(), func() (int, bool) {
+				if i == len(order) {
+					return 0, false
+				}
+				i++
+				return order[i-1], true
+			})
 		} else {
 			tasks := make(chan int)
 			var wg sync.WaitGroup
-			searchers := make([]*searcher, workers)
 			for w := 0; w < workers; w++ {
 				wg.Add(1)
-				s := newSearcher()
-				searchers[w] = s
 				go func() {
 					defer wg.Done()
-					_, wsp := obs.StartSpan(ctx, "opt.search.worker")
-					unitsRun, wevals, wpruned := 0, 0, 0
-					for ui := range tasks {
-						results[ui] = s.searchUnit(&units[ui])
-						unitsRun++
-						wevals += results[ui].evals
-						wpruned += results[ui].pruned
-					}
-					if wsp != nil {
-						wsp.AttrInt("units", int64(unitsRun))
-						wsp.AttrInt("evals", int64(wevals))
-						wsp.AttrInt("pruned", int64(wpruned))
-						wsp.End()
-					}
+					drain(newSearcher(), func() (int, bool) {
+						ui, ok := <-tasks
+						return ui, ok
+					})
 				}()
 			}
 			for _, ui := range order {
@@ -673,26 +646,17 @@ func OptimizeContext(ctx context.Context, cfg Config, opts ...Option) (Result, e
 			}
 			close(tasks)
 			wg.Wait()
-			for _, s := range searchers {
-				inserts = append(inserts, s.leafNew)
-			}
-		}
-		if rb != nil && leafIDs != nil {
-			for _, batch := range inserts {
-				rb.cache.mergeLeaves(batch)
-			}
 		}
 		for i := range results {
 			r := &results[i]
 			evals += r.evals
 			pruned += r.pruned
-			saved += r.saved
 			if r.found && (!found || r.best.Est.Cost < bestUnit.Est.Cost) {
 				bestUnit = r.best
 				found = true
 			}
 		}
-		return bestUnit, found, evals, pruned, saved
+		return bestUnit, found, evals, pruned
 	}
 
 	// Warm start: seed the incumbent with the caller's known-achievable
@@ -708,9 +672,8 @@ func OptimizeContext(ctx context.Context, cfg Config, opts ...Option) (Result, e
 	}
 
 	sc.begin("subset_search")
-	unitBest, found, sEvals, sPruned, sSaved := runSearch(seed)
+	unitBest, found, sEvals, sPruned := runSearch(seed)
 	evals += sEvals
-	saved += sSaved
 	pruned := sPruned
 	warmRetried := false
 	if warm && ctx.Err() == nil {
@@ -725,9 +688,8 @@ func OptimizeContext(ctx context.Context, cfg Config, opts ...Option) (Result, e
 			// hint and keeps the bit-identical guarantee unconditional.
 			warmRetried = true
 			sc.begin("subset_search_cold_retry")
-			unitBest, found, sEvals, sPruned, sSaved = runSearch(best.Est.Cost)
+			unitBest, found, sEvals, sPruned = runSearch(best.Est.Cost)
 			evals += sEvals
-			saved += sSaved
 			pruned += sPruned
 		}
 	}
@@ -797,7 +759,6 @@ type unitResult struct {
 	found  bool
 	evals  int
 	pruned int
-	saved  int
 }
 
 // searcher is the per-worker search state: scratch buffers and an
@@ -815,23 +776,8 @@ type searcher struct {
 	stop      *atomic.Bool
 	eval      model.Evaluator
 
-	// leafMemo is the reuse cache's read-only snapshot of previously
-	// evaluated leaves; leafIDs maps group index to its cache id (nil
-	// disables the memo). leafNew buffers this worker's fresh
-	// evaluations for a single merge after the search.
-	leafMemo map[leafKey]model.Estimate
-	leafIDs  []uint32
-	leafNew  map[leafKey]model.Estimate
-	// lastKey/lastKeyOK carry the key lookupLeaf built to the storeLeaf
-	// that follows a miss.
-	lastKey   leafKey
-	lastKeyOK bool
-
 	subset []int
 	pgs    []*model.PreparedGroup
-	// bidIdx[d] is the grid index of the bid chosen at depth d — the
-	// leaf-memo key component alongside the group ids.
-	bidIdx []int
 	// partial[d] is the spot-cost sum of the groups placed at depths
 	// < d; suffixMin[d] is the cheapest possible spot cost of the groups
 	// at depths >= d; leaves[d] is the number of bid combinations below
@@ -845,7 +791,6 @@ type searcher struct {
 	found  bool
 	evals  int
 	pruned int
-	saved  int
 }
 
 // searchUnit traverses one work unit — the subsets starting with
@@ -853,7 +798,7 @@ type searcher struct {
 // exact order the serial recursion visits them.
 func (s *searcher) searchUnit(u *workUnit) unitResult {
 	s.best, s.found = Result{}, false
-	s.evals, s.pruned, s.saved = 0, 0, 0
+	s.evals, s.pruned = 0, 0
 	if s.stop.Load() {
 		return unitResult{}
 	}
@@ -863,7 +808,7 @@ func (s *searcher) searchUnit(u *workUnit) unitResult {
 	} else {
 		s.searchSubset()
 	}
-	return unitResult{best: s.best, found: s.found, evals: s.evals, pruned: s.pruned, saved: s.saved}
+	return unitResult{best: s.best, found: s.found, evals: s.evals, pruned: s.pruned}
 }
 
 // extend evaluates the current subset's bid grid, then grows the subset
@@ -908,12 +853,8 @@ func (s *searcher) searchSubset() {
 
 func (s *searcher) searchBids(depth int) {
 	if depth == len(s.subset) {
-		est, memoized := s.lookupLeaf()
-		if !memoized {
-			est = s.eval.EvaluatePrepared(s.pgs, s.od)
-			s.evals++
-			s.storeLeaf(est)
-		}
+		est := s.eval.EvaluatePrepared(s.pgs, s.od)
+		s.evals++
 		if s.cfg.MaxAllFail > 0 && est.PAllFail > s.cfg.MaxAllFail {
 			return
 		}
@@ -928,11 +869,10 @@ func (s *searcher) searchBids(depth int) {
 		}
 		return
 	}
-	for bi, pg := range s.prepared[s.subset[depth]] {
+	for _, pg := range s.prepared[s.subset[depth]] {
 		if s.stop.Load() {
 			return
 		}
-		s.bidIdx[depth] = bi
 		bound := s.partial[depth] + pg.CostSpot() + s.suffixMin[depth+1]
 		// A plan's cost is its groups' spot costs plus a non-negative
 		// on-demand term, so bound is a true lower bound on every leaf
@@ -963,53 +903,6 @@ func (s *searcher) localBound() float64 {
 		return s.best.Est.Cost
 	}
 	return s.baseline
-}
-
-// lookupLeaf consults the reuse memo for the current leaf (subset +
-// bid choice). A hit returns the Estimate a fresh evaluation would
-// produce bit-for-bit — the key includes every input the cost model
-// reads (group state via cache id, bid via grid index, on-demand fleet)
-// — so memoization can never change the plan, only skip work. It also
-// primes lastKey for storeLeaf on a miss.
-func (s *searcher) lookupLeaf() (model.Estimate, bool) {
-	s.lastKeyOK = false
-	if s.leafIDs == nil {
-		return model.Estimate{}, false
-	}
-	n := len(s.subset)
-	if n > maxLeafSubset {
-		return model.Estimate{}, false
-	}
-	k := leafKey{od: odKeyFor(s.od), n: uint8(n)}
-	for i := 0; i < n; i++ {
-		id := s.leafIDs[s.subset[i]]
-		if id == 0 {
-			return model.Estimate{}, false
-		}
-		k.e[i] = id<<leafBidBits | uint32(s.bidIdx[i])
-	}
-	s.lastKey, s.lastKeyOK = k, true
-	if est, ok := s.leafNew[k]; ok {
-		s.saved++
-		return est, true
-	}
-	if est, ok := s.leafMemo[k]; ok {
-		s.saved++
-		return est, true
-	}
-	return model.Estimate{}, false
-}
-
-// storeLeaf buffers a freshly evaluated leaf for the post-search memo
-// merge.
-func (s *searcher) storeLeaf(est model.Estimate) {
-	if !s.lastKeyOK || len(s.leafNew) >= maxLeafEntries {
-		return
-	}
-	if s.leafNew == nil {
-		s.leafNew = make(map[leafKey]model.Estimate, 256)
-	}
-	s.leafNew[s.lastKey] = est
 }
 
 // buildGroups constructs the candidate circle groups. A candidate naming

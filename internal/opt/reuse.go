@@ -3,48 +3,40 @@ package opt
 import (
 	"math"
 	"sync"
-	"sync/atomic"
 
 	"sompi/internal/cloud"
 	"sompi/internal/model"
 )
 
-// ReuseCache carries prepared-group state and evaluated subset costs
-// across optimizations of the same market. The sharded market's per-
-// (type, AZ) version vector makes staleness exact: a candidate group is
-// fully determined by its shard's trace content — identified by (shard
-// version, window bounds) — plus the scalar group parameters (T, M, O,
-// R, grid levels, checkpoint mode), so when none of those changed since
-// the last optimization, the group's failure distributions, bid-grid
-// PreparedGroups, spot-cost floor and standalone ranking cost are all
-// bit-identical and can be reused instead of re-derived. At a T_m
-// re-optimization where one shard ticked and eleven did not, that skips
-// eleven twelfths of the Prewarm/Prepare work and — through the leaf
-// cost cache — every cost-model evaluation of subsets built purely from
-// unchanged shards.
+// ReuseCache carries prepared-group state across optimizations of the
+// same market. The sharded market's per-(type, AZ) version vector makes
+// staleness exact: a candidate group is fully determined by its shard's
+// trace content — identified by (shard version, window bounds) — plus
+// the scalar group parameters (T, M, O, R, grid levels, checkpoint
+// mode), so when none of those changed since the last optimization, the
+// group's failure distributions, bid-grid PreparedGroups, spot-cost
+// floor and standalone ranking cost are all bit-identical and can be
+// reused instead of re-derived. At a T_m re-optimization where one shard
+// ticked and eleven did not, that skips eleven twelfths of the
+// Prewarm/Prepare work and the ranking evaluations of the eleven.
+//
+// That is all it holds: one slot per (shard, profile), overwritten when
+// the shard's state moves, so the cache is bounded by the market and not
+// by how many optimizations ran. The κ-subset search itself is never
+// memoized — a leaf is a ~2 µs evaluation, and a cross-optimization leaf
+// memo measured slower end to end than re-evaluating (DESIGN §6).
 //
 // Reuse never changes the returned plan: a cache hit substitutes values
 // that are bit-identical to what a cold computation would produce (the
 // determinism property the warm-vs-cold tests assert byte-for-byte).
-// It does change Result.Evals — skipped evaluations are reported in
-// Result.SavedEvals instead.
+// It does change Result.Evals — ranking evaluations the standalone memo
+// answered are reported in Result.SavedEvals instead.
 //
 // A ReuseCache is safe for concurrent use by multiple optimizations.
 type ReuseCache struct {
 	mu     sync.Mutex
-	nextID uint32
 	groups map[groupSlot]*reuseEntry
-
-	// leaves is the subset-cost memo: a copy-on-write map swapped
-	// atomically so the search's hot path reads it lock-free. Workers
-	// buffer their insertions locally and merge once per optimization.
-	leaves atomic.Pointer[map[leafKey]model.Estimate]
 }
-
-// maxLeafEntries bounds the leaf memo; when a merge would exceed it the
-// memo restarts from the incoming batch (the most recent market state),
-// which is the set the next re-optimization will actually hit.
-const maxLeafEntries = 1 << 17
 
 // NewReuseCache returns an empty cache, ready to be shared across
 // optimizations (Config.Reuse).
@@ -87,7 +79,6 @@ func odKeyFor(od model.OnDemand) odKey {
 // after construction except standalone, which is guarded by the cache
 // mutex.
 type reuseEntry struct {
-	id       uint32
 	state    groupState
 	g        *model.Group
 	prepared []*model.PreparedGroup
@@ -110,18 +101,15 @@ func (c *ReuseCache) lookupGroup(slot groupSlot, st groupState) (*reuseEntry, bo
 	return e, true
 }
 
-// storeGroup registers a freshly derived entry, assigning its leaf-key
-// id. Concurrent optimizations may race to fill the same slot; the
-// states are identical by construction, so either winning is fine — but
-// each gets a distinct id, so their leaf keys never collide.
+// storeGroup registers a freshly derived entry. Concurrent
+// optimizations may race to fill the same slot; the states are identical
+// by construction, so either winning is fine.
 func (c *ReuseCache) storeGroup(slot groupSlot, e *reuseEntry) *reuseEntry {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if cur, ok := c.groups[slot]; ok && cur.state == e.state {
 		return cur
 	}
-	c.nextID++
-	e.id = c.nextID
 	c.groups[slot] = e
 	return e
 }
@@ -142,61 +130,6 @@ func (c *ReuseCache) putStandalone(e *reuseEntry, k odKey, cost float64) {
 		e.standalone = make(map[odKey]float64, 2)
 	}
 	e.standalone[k] = cost
-}
-
-// leafKey identifies one evaluated leaf: the on-demand fleet plus, per
-// subset member in enumeration order, the group's entry id and its
-// bid-grid index packed as id<<leafBidBits | bidIdx. Entry ids are
-// unique per (shard state) registration, so two leaves collide only
-// when they would evaluate to the identical Estimate.
-type leafKey struct {
-	od odKey
-	n  uint8
-	e  [maxLeafSubset]uint32
-}
-
-const (
-	// maxLeafSubset bounds the memoizable subset size (κ beyond it just
-	// skips the memo).
-	maxLeafSubset = 8
-	// leafBidBits is how many low bits of a packed member hold the bid
-	// index; grids longer than 1<<leafBidBits disable the memo.
-	leafBidBits = 5
-	// maxLeafID keeps id<<leafBidBits from overflowing uint32.
-	maxLeafID = 1 << (32 - leafBidBits)
-)
-
-// leafSnapshot returns the current memo map for lock-free reads (nil
-// when empty).
-func (c *ReuseCache) leafSnapshot() map[leafKey]model.Estimate {
-	if m := c.leaves.Load(); m != nil {
-		return *m
-	}
-	return nil
-}
-
-// mergeLeaves folds one optimization's evaluated leaves into the memo
-// with a copy-on-write swap.
-func (c *ReuseCache) mergeLeaves(batch map[leafKey]model.Estimate) {
-	if len(batch) == 0 {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	var cur map[leafKey]model.Estimate
-	if p := c.leaves.Load(); p != nil {
-		cur = *p
-	}
-	next := make(map[leafKey]model.Estimate, len(cur)+len(batch))
-	if len(cur)+len(batch) <= maxLeafEntries {
-		for k, v := range cur {
-			next[k] = v
-		}
-	}
-	for k, v := range batch {
-		next[k] = v
-	}
-	c.leaves.Store(&next)
 }
 
 // reuseBinding is the per-optimization view of the cache: resolved once

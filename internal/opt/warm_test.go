@@ -98,6 +98,9 @@ func TestScalingSmoke(t *testing.T) {
 // plan) and delta-evaluated (ReuseCache from the previous optimization)
 // search must return plans byte-identical to a cold Workers: 1 search —
 // at every worker count — while doing strictly less evaluation work.
+// It also pins what the cache is: prepared state for exactly the
+// un-ticked shards, ranking evaluations moved out of Evals and nothing
+// else, and one slot per (shard, profile) however many runs share it.
 func TestWarmDeltaByteIdentical(t *testing.T) {
 	ctx := context.Background()
 	p := app.BT()
@@ -128,12 +131,28 @@ func TestWarmDeltaByteIdentical(t *testing.T) {
 			t.Fatal(err)
 		}
 
+		// The candidates that reach the bid-grid stage, and how many of
+		// them sit on shards the ticks above did not touch.
+		kept, _, err := buildGroups(coldCfg.withDefaults(), nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		unticked := 0
+		for _, g := range kept {
+			if g.Key != keys[0] && g.Key != keys[7] {
+				unticked++
+			}
+		}
+
 		warmCfg := coldCfg
 		warmCfg.Reuse = cache
 		if hint, ok := WarmBound(warmCfg, res0.Plan); ok {
 			warmCfg.InitialIncumbent = hint
 			sawWarm = true
 		}
+		// The first warm run finds only the un-ticked shards in the cache
+		// and registers the two ticked ones; the second finds them all.
+		wantReused := unticked
 		for _, workers := range []int{1, 3} {
 			warmCfg.Workers = workers
 			warm, err := OptimizeContext(ctx, warmCfg)
@@ -146,10 +165,35 @@ func TestWarmDeltaByteIdentical(t *testing.T) {
 			}
 			if workers == 1 && !warm.WarmRetried && warm.Evals > cold.Evals {
 				// Serial warm search visits a subset of the cold visit set
-				// (the memo and the tighter incumbent only remove work).
+				// (the tighter incumbent only removes work).
 				t.Fatalf("seed %d: warm search evaluated more than cold: %d > %d", seed, warm.Evals, cold.Evals)
 			}
+			if warm.ReusedGroups != wantReused {
+				t.Fatalf("seed %d workers %d: reused %d groups, want %d of %d kept",
+					seed, workers, warm.ReusedGroups, wantReused, len(kept))
+			}
+			wantReused = len(kept)
 			totalSaved += warm.SavedEvals
+		}
+
+		// Reuse without a warm seed leaves the serial search alone: the
+		// cache can only move ranking evaluations from Evals to SavedEvals.
+		reuseCfg := coldCfg
+		reuseCfg.Reuse = cache
+		reuse, err := OptimizeContext(ctx, reuseCfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if reuse.Pruned != cold.Pruned || reuse.Evals+reuse.SavedEvals != cold.Evals {
+			t.Fatalf("seed %d: reuse-only counters (evals %d + saved %d, pruned %d) != cold (evals %d, pruned %d)",
+				seed, reuse.Evals, reuse.SavedEvals, reuse.Pruned, cold.Evals, cold.Pruned)
+		}
+
+		// Four optimizations over two market states later, the cache holds
+		// one slot per shard for the one profile used — bounded by the
+		// market, not by request count.
+		if n := len(cache.groups); n > len(keys) {
+			t.Fatalf("seed %d: cache holds %d group slots for %d shards and one profile", seed, n, len(keys))
 		}
 	}
 	if !sawWarm {

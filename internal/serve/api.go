@@ -174,11 +174,12 @@ type PlanResponse struct {
 	Plan          PlanPayload     `json:"plan"`
 	Estimate      EstimatePayload `json:"estimate"`
 	// Evals and Pruned report the optimizer's search effort; SavedEvals
-	// counts evaluations answered by the server's cross-optimization
-	// reuse cache instead. Evals is only reproducible with workers=1
-	// against a fixed cache state (see opt.Result) — identical requests
-	// can legitimately report fewer Evals (and more SavedEvals) as the
-	// cache warms. The plan itself never varies.
+	// counts ranking-stage evaluations answered by the server's
+	// cross-optimization reuse cache instead. With workers=1, Pruned and
+	// Evals+SavedEvals are a pure function of the request (see
+	// opt.Result): the cache only moves a candidate's ranking
+	// evaluations from Evals into SavedEvals once its shard state has
+	// been seen, never the search's. The plan itself never varies.
 	Evals      int `json:"evals"`
 	Pruned     int `json:"pruned"`
 	SavedEvals int `json:"saved_evals,omitempty"`

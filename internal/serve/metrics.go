@@ -14,6 +14,7 @@ import (
 
 	"sompi/internal/cloud"
 	"sompi/internal/obs"
+	"sompi/internal/opt"
 	"sompi/internal/store"
 	"sompi/internal/strategy"
 )
@@ -85,8 +86,8 @@ type metrics struct {
 
 	// warmStarts counts session re-optimizations whose previous plan
 	// re-priced into an admissible incumbent seed; evalsSaved counts
-	// cost-model evaluations the reuse cache answered from memo across
-	// all optimizations (plan requests and re-opts).
+	// ranking-stage evaluations the reuse cache's per-group memo
+	// answered across all optimizations (plan requests and re-opts).
 	warmStarts atomic.Int64
 	evalsSaved atomic.Int64
 
@@ -183,6 +184,16 @@ func (m *metrics) noteQueueDepth(d int64) {
 			return
 		}
 	}
+}
+
+// observeOptimize adds one optimizer run's effort counters — plan
+// request or session re-opt, default path or named strategy. It counts
+// the work the result reports whether or not the run erred: a cancelled
+// search still burned the evaluations it got through.
+func (m *metrics) observeOptimize(r opt.Result) {
+	m.evals.Add(int64(r.Evals))
+	m.pruned.Add(int64(r.Pruned))
+	m.evalsSaved.Add(int64(r.SavedEvals))
 }
 
 // observeStrategy records one plan request's latency under its
@@ -420,7 +431,7 @@ func (m *metrics) render(w io.Writer, s renderSample) {
 	fmt.Fprintf(w, "sompid_reoptimizations_total %d\n", m.reoptimizations.Load())
 	header(w, "sompid_reopt_warm_starts_total", "counter", "Re-optimizations seeded with the previous plan's re-priced cost as the branch-and-bound incumbent.")
 	fmt.Fprintf(w, "sompid_reopt_warm_starts_total %d\n", m.warmStarts.Load())
-	header(w, "sompid_reopt_evals_saved_total", "counter", "Cost-model evaluations skipped via the cross-optimization reuse cache.")
+	header(w, "sompid_reopt_evals_saved_total", "counter", "Ranking-stage cost-model evaluations answered by the cross-optimization reuse cache instead of re-run.")
 	fmt.Fprintf(w, "sompid_reopt_evals_saved_total %d\n", m.evalsSaved.Load())
 	header(w, "sompid_reopt_deduped_total", "counter", "Session re-optimizations answered by a coalesced identical optimizer run.")
 	fmt.Fprintf(w, "sompid_reopt_deduped_total %d\n", m.reoptDeduped.Load())

@@ -188,14 +188,7 @@ func TestSessionAuditTrail(t *testing.T) {
 
 	// Cross one window boundary on every shard (flat cheap prices keep the
 	// groups alive, so the session re-optimizes rather than dying).
-	samples := make([]float64, int(window*12))
-	for i := range samples {
-		samples[i] = 0.05
-	}
-	var ticks []serve.PriceTick
-	for _, key := range testMarket().Keys() {
-		ticks = append(ticks, serve.PriceTick{Type: key.Type, Zone: key.Zone, Prices: samples})
-	}
+	ticks := flatTicks(window)
 	if status, _, body := postJSON(t, ts.URL+"/v1/prices?sync=1", ticks); status != http.StatusOK {
 		t.Fatalf("ingest: %d %s", status, body)
 	}

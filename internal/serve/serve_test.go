@@ -111,6 +111,21 @@ func smallPlan(deadline float64) serve.PlanRequest {
 	}
 }
 
+// flatTicks is one feed advancing every market by the given hours at a
+// flat 0.05 — below every plausible bid, so tracked sessions survive
+// the windows it crosses and re-optimize rather than die.
+func flatTicks(hours float64) []serve.PriceTick {
+	samples := make([]float64, int(hours*12))
+	for i := range samples {
+		samples[i] = 0.05
+	}
+	var ticks []serve.PriceTick
+	for _, key := range testMarket().Keys() {
+		ticks = append(ticks, serve.PriceTick{Type: key.Type, Zone: key.Zone, Prices: samples})
+	}
+	return ticks
+}
+
 // TestPlanMatchesLibrary is the service's core guarantee: the served
 // plan is byte-identical to a library-path OptimizeContext call at the
 // same market version (workers=1 so Evals/Pruned are deterministic too).
@@ -379,14 +394,7 @@ func TestSessionReoptimization(t *testing.T) {
 	// Advance every market two hours (one window) past the frontier. The
 	// flat 0.05 price sits below every plausible bid, so the groups
 	// survive the window and the session re-optimizes rather than dying.
-	samples := make([]float64, int(window*12))
-	for i := range samples {
-		samples[i] = 0.05
-	}
-	var ticks []serve.PriceTick
-	for _, key := range testMarket().Keys() {
-		ticks = append(ticks, serve.PriceTick{Type: key.Type, Zone: key.Zone, Prices: samples})
-	}
+	ticks := flatTicks(window)
 	status, _, body = postJSON(t, ts.URL+"/v1/prices?sync=1", ticks)
 	if status != http.StatusOK {
 		t.Fatalf("ingest: %d %s", status, body)

@@ -130,10 +130,10 @@ type Server struct {
 	reopts *lru[opt.Result]
 
 	cache *lru[[]byte]
-	// reuse carries prepared-group state and evaluated subset costs
-	// across every optimization the server runs — plan requests and
-	// session re-opts alike. Hits are keyed on the shard version vector,
-	// so a tick invalidates exactly the shards it touched.
+	// reuse carries prepared-group state across every optimization the
+	// server runs — plan requests and session re-opts alike. Hits are
+	// keyed on the shard version vector, so a tick invalidates exactly
+	// the shards it touched.
 	reuse *opt.ReuseCache
 	met   metrics
 	col   *obs.Collector
@@ -589,9 +589,7 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 	}
 	run := func() (opt.Result, error) {
 		r, e := plan()
-		s.met.evals.Add(int64(r.Evals))
-		s.met.pruned.Add(int64(r.Pruned))
-		s.met.evalsSaved.Add(int64(r.SavedEvals))
+		s.met.observeOptimize(r)
 		return r, e
 	}
 	// Identical concurrent default-path requests — the byte cache only

@@ -230,8 +230,8 @@ func (s *Server) advanceWindow(ctx context.Context, t *trackedSession) (aborted 
 	}
 
 	// Re-optimization is incremental: unchanged shards reuse their
-	// prepared state and memoized subset costs from the server's cache,
-	// and the session's previous plan — re-priced under the current
+	// prepared state and ranking costs from the server's cache, and
+	// the session's previous plan — re-priced under the current
 	// market — seeds the branch-and-bound incumbent so pruning starts
 	// tight. Neither changes the plan (see opt.Config.InitialIncumbent
 	// and opt.ReuseCache for the bit-identity argument).
@@ -251,7 +251,7 @@ func (s *Server) advanceWindow(ctx context.Context, t *trackedSession) (aborted 
 		p, _, err = t.strat.Plan(ctx, cfg.Market,
 			strategy.Workload{Profile: resid}, strategy.Deadline{Hours: leftover})
 		res = opt.Result{Plan: p.Model, Est: p.Est, Evals: p.Evals, Pruned: p.Pruned, SavedEvals: p.SavedEvals}
-		s.met.evalsSaved.Add(int64(res.SavedEvals))
+		s.met.observeOptimize(res)
 	} else {
 		// Identical sessions hitting the same boundary coalesce onto one
 		// optimizer run. The search-effort counters live inside the
@@ -272,11 +272,7 @@ func (s *Server) advanceWindow(ctx context.Context, t *trackedSession) (aborted 
 				}
 			}
 			r, e := opt.OptimizeContext(ctx, run)
-			s.met.evalsSaved.Add(int64(r.SavedEvals))
-			if e == nil {
-				s.met.evals.Add(int64(r.Evals))
-				s.met.pruned.Add(int64(r.Pruned))
-			}
+			s.met.observeOptimize(r)
 			return r, e
 		})
 		if shared {

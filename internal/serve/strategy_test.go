@@ -288,3 +288,38 @@ func TestSessionWithStrategy(t *testing.T) {
 		t.Fatalf("session %s not listed in %s", resp.SessionID, sessions)
 	}
 }
+
+// TestStrategySessionReoptCountsEffort: a session pinned to a named
+// strategy re-optimizes through the strategy's own Plan call, and the
+// search effort of that call lands in sompid_optimizer_evals_total like
+// every other optimization's — the counter's HELP says "across all
+// optimizations".
+func TestStrategySessionReoptCountsEffort(t *testing.T) {
+	const window = 2.0
+	ts := newTestServer(t, serve.Config{WindowHours: window})
+
+	// adaptive-ckpt runs the κ-subset search, so its plans report Evals;
+	// "sompi" by name would take the default re-opt loop.
+	req := smallPlan(60)
+	req.Strategy = "adaptive-ckpt"
+	req.Track = true
+	if status, _, body := postJSON(t, ts.URL+"/v1/plan", req); status != http.StatusOK {
+		t.Fatalf("tracked plan: %d %s", status, body)
+	}
+	before := metricValue(t, getBody(t, ts.URL+"/metrics"), "sompid_optimizer_evals_total")
+
+	// Cross one window boundary on every shard at flat cheap prices, so
+	// the session survives its window and re-plans.
+	ticks := flatTicks(window)
+	if status, _, body := postJSON(t, ts.URL+"/v1/prices?sync=1", ticks); status != http.StatusOK {
+		t.Fatalf("ingest: %d %s", status, body)
+	}
+
+	metrics := getBody(t, ts.URL+"/metrics")
+	if got := metricValue(t, metrics, "sompid_reoptimizations_total"); got < 1 {
+		t.Fatalf("session did not re-optimize across the boundary (reoptimizations = %v)", got)
+	}
+	if after := metricValue(t, metrics, "sompid_optimizer_evals_total"); after <= before {
+		t.Fatalf("strategy re-opt left sompid_optimizer_evals_total at %v (was %v)", after, before)
+	}
+}
