@@ -12,9 +12,12 @@ build:
 
 # bench/ (the performance ledger, see BENCHMARK.json) is a nested module
 # outside ./..., so it is vetted — and in `check` tested — by name.
+# gofmt walks directories, not modules, so one call covers both; any
+# file it lists fails the target.
 vet:
 	$(GO) vet ./...
 	$(GO) vet -C bench ./...
+	@unformatted=$$(gofmt -l .); test -z "$$unformatted" || { echo "gofmt -l:"; echo "$$unformatted"; exit 1; }
 
 test:
 	$(GO) test ./...

@@ -261,12 +261,12 @@ func checkCrashRecovery(e *env) error {
 }
 
 // checkSustainedIngest is the batched-ingest stage: boot sompid with a
-// small ingest queue and a worker pool, track identical sessions plus a
+// small -ingest-queue and a worker pool, track identical sessions plus a
 // distinct one, firehose concurrent multi-shard NDJSON across two
 // window boundaries, drain, and gate the ingest observability families —
-// the queue's high-water mark must respect its configured ceiling, the
-// scheduler-lag p99 must be sane, and the identical sessions must have
-// coalesced at least one optimizer run.
+// the high-water mark of batches waiting on one shard must respect that
+// ceiling, the scheduler-lag p99 must be sane, and the identical
+// sessions must have coalesced at least one optimizer run.
 func checkSustainedIngest(e *env) error {
 	const queueCap = 64
 	p, err := e.startSompid("-window", "2", "-ingest-queue", fmt.Sprint(queueCap), "-reopt-workers", "4")

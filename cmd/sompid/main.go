@@ -104,7 +104,7 @@ func main() {
 		dataDir    = flag.String("data-dir", "", "durability directory for the WAL + snapshots (empty = in-memory only)")
 		fsync      = flag.Bool("fsync", true, "fsync every WAL append (with -data-dir); off trades the tail since the last sync for latency")
 		snapEvery  = flag.Int("snapshot-every", 0, "cut a snapshot every N WAL appends (with -data-dir; 0 = default 4096)")
-		ingestQ    = flag.Int("ingest-queue", 0, "per-shard ingest queue capacity in batches; full queues answer 429 (0 = default 1024)")
+		ingestQ    = flag.Int("ingest-queue", 0, "tick batches that may wait on one shard behind the batch being applied; one more answers 429 (0 = default 1024)")
 		reoptWork  = flag.Int("reopt-workers", 0, "session re-optimization worker pool size (0 = default 4)")
 		captureLog = flag.String("capture-log", "", "capture every v1 request to a segmented NDJSON log under this directory for cmd/sompi-replay (empty = capture off)")
 		captureSeg = flag.Int("capture-segment", 0, "records per capture segment before it is sealed (0 = default 4096)")

@@ -149,7 +149,9 @@ func bindReuse(cfg Config) *reuseBinding {
 	if cfg.Reuse == nil {
 		return nil
 	}
-	wb, ok := cfg.Market.(interface{ WindowBounds() (float64, float64, bool) })
+	wb, ok := cfg.Market.(interface {
+		WindowBounds() (float64, float64, bool)
+	})
 	if !ok {
 		return nil
 	}

@@ -221,8 +221,8 @@ func (s *Server) initCluster(cfg ClusterConfig) error {
 		}
 		peerName := peer.Name
 		f, err := cluster.StartFollower(cluster.FollowerConfig{
-			Peer:   peer,
-			Dir:    dir,
+			Peer: peer,
+			Dir:  dir,
 			OnRecord: func(rec store.Record) error {
 				return c.applyReplicated(peerName, rec)
 			},

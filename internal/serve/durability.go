@@ -390,9 +390,10 @@ func (s *Server) materializeSession(st sessionState) (*trackedSession, error) {
 
 // Close shuts the service's background machinery down and, on a durable
 // server, flushes its state: in-flight re-optimizations are cancelled
-// (their boundaries stay in the WAL for the next boot), the ingest
-// appliers and scheduler workers drain, then a final snapshot lands at
-// a clean segment boundary and the active WAL segment is fsync-closed.
+// (their boundaries stay in the WAL for the next boot), feeds already
+// applying finish and later ones are refused (503), the scheduler
+// workers drain, then a final snapshot lands at a clean segment
+// boundary and the active WAL segment is fsync-closed.
 // Graceful shutdown must call it after the HTTP server has drained; an
 // in-memory server stops its goroutines and keeps serving reads.
 // Idempotent.

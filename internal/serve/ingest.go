@@ -3,274 +3,134 @@ package serve
 import (
 	"errors"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"sompi/internal/cloud"
 )
 
-// This file is the batched ingest pipeline: handlePrices stages a tick
-// stream per (type, AZ) shard and hands each shard's run to a dedicated
-// applier goroutine through a bounded queue. The applier applies the
-// whole run under one shard write-lock acquisition (and one WAL group
-// commit) via cloud.Market.AppendBatch, then wakes the re-optimization
-// scheduler for that shard. Ingest latency therefore stops depending on
-// how many sessions a tick invalidates — the request path never runs an
-// optimizer — and a firehose feeding one shard amortizes its lock and
-// fsync cost across the batch.
+// This file is the ingest apply path: handlePrices stages a tick stream
+// per (type, AZ) shard and applies each shard's run itself, on the
+// request goroutine, through ingester.apply. A batch is one request's
+// staged ticks for one shard — nothing coalesces across requests — and
+// it lands under one shard write-lock acquisition (and one WAL group
+// commit) via cloud.Market.AppendBatch, after which the re-optimization
+// scheduler is woken for that shard. The request path never runs an
+// optimizer, so ingest latency does not depend on how many sessions a
+// tick invalidates; feeds for one shard serialize on its write lock
+// (shard versions stay sequential) while different shards never contend.
 
-// errIngestBacklog reports a shard queue that stayed full past the
-// enqueue grace period: the client should back off (429 + Retry-After).
+// errIngestBacklog reports a shard whose admission slots stayed taken
+// past the grace period: the client should back off (429 + Retry-After).
 var errIngestBacklog = errors.New("serve: ingest queue full")
 
-// errIngestClosed reports an enqueue against a stopped ingester (the
+// errIngestClosed reports an apply against a stopped ingester (the
 // server is shutting down).
 var errIngestClosed = errors.New("serve: ingest stopped")
 
-// ingestEnqueueWait is how long an enqueue blocks on a full shard queue
-// before surfacing backpressure to the client.
+// ingestEnqueueWait is how long a batch waits for an admission slot on
+// a full shard before surfacing backpressure to the client.
 const ingestEnqueueWait = 50 * time.Millisecond
 
-// Adaptive batch sizing: each shard's flush threshold — how many ticks
-// handlePrices stages before handing the applier a batch — starts at
-// initBatchTicks, doubles (up to maxBatchTicksCap) whenever an enqueue
-// observes batches already waiting in the shard's queue, and halves
-// (down to minBatchTicks) whenever the applier drains the queue empty.
-// Under sustained pressure bigger batches amortize the shard lock and
-// the WAL group-commit fsync across more ticks; when the feed idles the
-// threshold decays so a trickle doesn't sit staged in request memory.
-// The previous fixed maxBatchTicks constant is now the initial target.
-const (
-	initBatchTicks   = 256
-	minBatchTicks    = 64
-	maxBatchTicksCap = 2048
-)
+// maxBatchTicks is how many ticks handlePrices stages for one shard
+// before applying them: it bounds request memory for an arbitrarily
+// long one-shard feed.
+const maxBatchTicks = 256
 
-// tickBatch is one shard's staged run of ticks. done is buffered so the
-// applier never blocks on a waiter, even one that abandoned the result.
-type tickBatch struct {
-	key   cloud.MarketKey
-	ticks [][]float64
-	start time.Time
-	done  chan batchResult
-}
-
-// batchResult reports what a batch apply did: how many leading ticks
-// landed, the market's composite version after them, and the durability
-// error on a partial apply.
-type batchResult struct {
-	applied int
-	version uint64
-	err     error
-}
-
-// ingester owns the per-shard queues and applier goroutines. The mutex
-// only fences enqueue against stop: the queues themselves are the
-// synchronization between handlers and appliers.
+// ingester is admission control for the apply path. Each shard has a
+// counting semaphore of queueCap+1 slots — the batch applying plus
+// queueCap waiting behind it for the shard write lock — which is the
+// whole of the backpressure contract: the shard lock already orders the
+// applies, the slots only bound how many requests may pile up on it.
+// The mutex fences applies against stop: every apply read-holds it from
+// admission to completion, so stop's write lock waits them out.
 type ingester struct {
-	s      *Server
-	queues map[cloud.MarketKey]chan *tickBatch
-	// targets holds each shard's adaptive flush threshold. The map is
-	// fixed at construction; the values move atomically.
-	targets map[cloud.MarketKey]*atomic.Int64
+	s *Server
+	// slots is fixed at construction; a send takes a slot, a receive
+	// returns it.
+	slots map[cloud.MarketKey]chan struct{}
 
 	mu     sync.RWMutex
 	closed bool
-	stopCh chan struct{}
-	wg     sync.WaitGroup
 }
 
-// newIngester builds the queues — one per market shard, capacity
-// queueCap batches each — and starts one applier per shard. Appliers
-// are per shard so batches for one market apply in arrival order
-// (shard versions stay sequential) while different markets never
-// contend.
+// newIngester builds one admission semaphore per market shard.
 func newIngester(s *Server, queueCap int) *ingester {
-	i := &ingester{
-		s:       s,
-		queues:  make(map[cloud.MarketKey]chan *tickBatch),
-		targets: make(map[cloud.MarketKey]*atomic.Int64),
-		stopCh:  make(chan struct{}),
-	}
+	i := &ingester{s: s, slots: make(map[cloud.MarketKey]chan struct{})}
 	for _, k := range s.market.Keys() {
-		q := make(chan *tickBatch, queueCap)
-		i.queues[k] = q
-		t := &atomic.Int64{}
-		t.Store(initBatchTicks)
-		i.targets[k] = t
-		i.wg.Add(1)
-		go i.run(k, q)
+		i.slots[k] = make(chan struct{}, queueCap+1)
 	}
 	return i
 }
 
-// batchTarget reports a shard's current flush threshold.
-func (i *ingester) batchTarget(key cloud.MarketKey) int {
-	if t, ok := i.targets[key]; ok {
-		return int(t.Load())
-	}
-	return initBatchTicks
-}
-
-// targetsSnapshot samples every shard's flush threshold for /metrics.
-func (i *ingester) targetsSnapshot() map[string]int {
-	out := make(map[string]int, len(i.targets))
-	for k, t := range i.targets {
-		out[k.String()] = int(t.Load())
-	}
-	return out
-}
-
-// growTarget doubles a shard's flush threshold: called when an enqueue
-// finds batches already queued, i.e. the applier is falling behind.
-func (i *ingester) growTarget(key cloud.MarketKey) {
-	t, ok := i.targets[key]
-	if !ok {
-		return
-	}
-	for {
-		cur := t.Load()
-		next := cur * 2
-		if next > maxBatchTicksCap {
-			next = maxBatchTicksCap
-		}
-		if next == cur || t.CompareAndSwap(cur, next) {
-			return
-		}
-	}
-}
-
-// decayTarget halves a shard's flush threshold: called when the applier
-// drains its queue empty, i.e. pressure has passed.
-func (i *ingester) decayTarget(key cloud.MarketKey) {
-	t, ok := i.targets[key]
-	if !ok {
-		return
-	}
-	for {
-		cur := t.Load()
-		next := cur / 2
-		if next < minBatchTicks {
-			next = minBatchTicks
-		}
-		if next == cur || t.CompareAndSwap(cur, next) {
-			return
-		}
-	}
-}
-
-// enqueue hands a batch to its shard's applier. A full queue gets a
-// short grace period (the applier may just be mid-batch), then the
-// typed backlog error — the client's signal to slow down.
-func (i *ingester) enqueue(b *tickBatch) error {
+// apply lands one shard's staged run: admission, the shard append
+// (WAL-first, one lock hold), the ingest counters, the scheduler wake
+// for sessions watching this shard, and the snapshot check — all before
+// it returns, so the caller answers over a market and scheduler that
+// already know about its ticks. It reports how many leading ticks
+// landed, the market's composite version after them, and the durability
+// error on a partial apply. key was validated before staging, so it
+// names one of the market's shards.
+//
+// A full shard gets a short grace period (the batches ahead may be
+// about to finish), then the typed backlog error — the client's signal
+// to slow down. A slot waiter holds the read lock for at most that
+// grace, so stop never waits long on a batch that will not apply.
+func (i *ingester) apply(key cloud.MarketKey, ticks [][]float64) (int, uint64, error) {
+	start := time.Now()
 	i.mu.RLock()
 	defer i.mu.RUnlock()
 	if i.closed {
-		return errIngestClosed
+		return 0, 0, errIngestClosed
 	}
-	q, ok := i.queues[b.key]
-	if !ok {
-		// Unknown markets were rejected by validation before staging;
-		// reaching here is a programming error surfaced as the typed error.
-		return cloud.ErrUnknownMarket
-	}
+	slot := i.slots[key]
 	select {
-	case q <- b:
+	case slot <- struct{}{}:
 	default:
 		t := time.NewTimer(ingestEnqueueWait)
 		defer t.Stop()
 		select {
-		case q <- b:
+		case slot <- struct{}{}:
 		case <-t.C:
-			return errIngestBacklog
-		case <-i.stopCh:
-			return errIngestClosed
+			return 0, 0, errIngestBacklog
 		}
 	}
-	depth := len(q)
-	i.s.met.noteQueueDepth(int64(depth))
-	if depth > 1 {
-		// More than this batch waiting: the applier is behind; bigger
-		// batches amortize its per-batch costs.
-		i.growTarget(b.key)
+	defer func() { <-slot }()
+
+	s := i.s
+	// Everything else holding a slot is ahead of this batch: one of them
+	// applying, the rest waiting for the shard lock.
+	s.met.noteQueueDepth(int64(len(slot) - 1))
+	applied, version, err := s.market.AppendBatch(key, ticks)
+	if applied > 0 {
+		s.met.ingestTicks.Add(int64(applied))
+		samples := 0
+		for _, t := range ticks[:applied] {
+			samples += len(t)
+		}
+		s.met.ingestSamples.Add(int64(samples))
+		s.sched.shardAdvanced(key)
 	}
-	return nil
+	s.met.batchSize.Observe(float64(len(ticks)))
+	s.met.observeIngest(key.String(), time.Since(start).Seconds())
+	s.maybeSnapshot()
+	return applied, version, err
 }
 
-// depths samples every queue's current occupancy for /metrics.
+// depths samples, per shard, how many batches are waiting for the shard
+// lock behind the one applying, for /metrics.
 func (i *ingester) depths() map[string]int {
-	out := make(map[string]int, len(i.queues))
-	for k, q := range i.queues {
-		out[k.String()] = len(q)
+	out := make(map[string]int, len(i.slots))
+	for k, slot := range i.slots {
+		out[k.String()] = max(len(slot)-1, 0)
 	}
 	return out
 }
 
-// run is one shard's applier loop.
-func (i *ingester) run(key cloud.MarketKey, q chan *tickBatch) {
-	defer i.wg.Done()
-	for {
-		select {
-		case <-i.stopCh:
-			return
-		case b := <-q:
-			i.apply(b, len(q))
-		}
-	}
-}
-
-// apply lands one batch: the shard append (WAL-first, one lock hold),
-// the ingest counters, the scheduler wake for sessions watching this
-// shard, and the snapshot check — all before the waiter is released, so
-// a caller that waits on done observes a market and scheduler that
-// already know about its ticks.
-func (i *ingester) apply(b *tickBatch, backlog int) {
-	s := i.s
-	if backlog == 0 {
-		i.decayTarget(b.key)
-	}
-	applied, version, err := s.market.AppendBatch(b.key, b.ticks)
-	if applied > 0 {
-		s.met.ingestTicks.Add(int64(applied))
-		samples := 0
-		for _, t := range b.ticks[:applied] {
-			samples += len(t)
-		}
-		s.met.ingestSamples.Add(int64(samples))
-		s.sched.shardAdvanced(b.key)
-	}
-	s.met.batchSize.Observe(float64(len(b.ticks)))
-	s.met.observeIngest(b.key.String(), time.Since(b.start).Seconds())
-	s.maybeSnapshot()
-	b.done <- batchResult{applied: applied, version: version, err: err}
-}
-
-// stop shuts the pipeline down: no new enqueues, appliers drained, and
-// every still-queued batch failed with the typed closed error so no
-// waiter hangs. Idempotent.
+// stop closes the fence: the write lock waits out every apply in flight
+// (a batch still waiting for a slot gives up within its grace period),
+// and every later apply fails with the typed closed error. Idempotent.
 func (i *ingester) stop() {
 	i.mu.Lock()
-	if i.closed {
-		i.mu.Unlock()
-		return
-	}
 	i.closed = true
 	i.mu.Unlock()
-	// The write lock above waited out every in-flight enqueue, so the
-	// queued set is fixed now; appliers may consume part of it before
-	// they observe stopCh, the sweep below fails the rest.
-	close(i.stopCh)
-	i.wg.Wait()
-	for _, q := range i.queues {
-		for {
-			select {
-			case b := <-q:
-				b.done <- batchResult{err: errIngestClosed}
-			default:
-			}
-			if len(q) == 0 {
-				break
-			}
-		}
-	}
 }

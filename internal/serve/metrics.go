@@ -62,14 +62,16 @@ type metrics struct {
 
 	ingestTicks   atomic.Int64
 	ingestSamples atomic.Int64
-	// ingestLatency times each batch's enqueue→apply cycle per target
+	// ingestLatency times each batch from admission to applied — slot
+	// wait, shard lock wait, WAL append and scheduler wake — per target
 	// shard (sompid_ingest_seconds{market=...}). The key set is fixed at
 	// market construction, so the map is read-only after init.
 	ingestLatency map[string]*obs.Histogram
-	// batchSize is the applied-batch tick-count distribution; the bounds
-	// are powers of two up to maxBatchTicksCap, so the top bucket isolates
-	// full (flush-forced) batches. ingestQueuePeak is a high-water mark
-	// of per-shard queue depth observed at enqueue, maintained by
+	// batchSize is the applied-batch tick-count distribution: a batch is
+	// one request's run for one shard, so the maxBatchTicks bucket
+	// isolates the mid-stream flushes of long one-shard feeds.
+	// ingestQueuePeak is a high-water mark of batches waiting on one
+	// shard, observed as each batch is admitted and maintained by
 	// noteQueueDepth (instantaneous depths are sampled at render).
 	batchSize       *obs.Histogram
 	ingestQueuePeak atomic.Int64
@@ -148,7 +150,7 @@ func (m *metrics) init(keys []cloud.MarketKey) {
 		m.strategies[name] = &strategyMetrics{latency: obs.NewHistogram(nil)}
 	}
 	m.walFsync = obs.NewHistogram(nil)
-	m.batchSize = obs.NewHistogram([]float64{1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048})
+	m.batchSize = obs.NewHistogram([]float64{1, 2, 4, 8, 16, 32, 64, 128, maxBatchTicks})
 	m.schedulerLag = obs.NewHistogram(nil)
 	m.captureAppend = obs.NewHistogram(nil)
 	m.start = time.Now()
@@ -175,8 +177,8 @@ var buildVersion = sync.OnceValue(func() string {
 	return v
 })
 
-// noteQueueDepth folds one observed per-shard queue depth into the
-// high-water mark.
+// noteQueueDepth folds one observed per-shard waiting-batch count into
+// the high-water mark.
 func (m *metrics) noteQueueDepth(d int64) {
 	for {
 		cur := m.ingestQueuePeak.Load()
@@ -227,7 +229,7 @@ func (m *metrics) observe(ep endpoint, seconds float64, failed bool) {
 	}
 }
 
-// observeIngest records one tick's ingest→invalidate latency for a shard.
+// observeIngest records one batch's admission→applied latency for a shard.
 func (m *metrics) observeIngest(market string, seconds float64) {
 	if h, ok := m.ingestLatency[market]; ok {
 		h.Observe(seconds)
@@ -275,7 +277,6 @@ type renderSample struct {
 	shards        []cloud.ShardStat
 	wal           store.Stats
 	queueDepths   map[string]int
-	batchTargets  map[string]int
 	captureSeg    uint64
 	cluster       clusterMetricsSample
 }
@@ -355,7 +356,7 @@ func (m *metrics) render(w io.Writer, s renderSample) {
 	header(w, "sompid_ingest_samples_total", "counter", "Price samples ingested.")
 	fmt.Fprintf(w, "sompid_ingest_samples_total %d\n", m.ingestSamples.Load())
 
-	header(w, "sompid_ingest_seconds", "histogram", "Per-shard tick latency in seconds: append through session invalidation.")
+	header(w, "sompid_ingest_seconds", "histogram", "Per-shard batch latency in seconds: admission through append and scheduler wake.")
 	// Deterministic label order: sorted market keys.
 	names := make([]string, 0, len(m.ingestLatency))
 	for name := range m.ingestLatency {
@@ -366,7 +367,7 @@ func (m *metrics) render(w io.Writer, s renderSample) {
 		m.ingestLatency[name].WriteProm(w, "sompid_ingest_seconds", fmt.Sprintf("market=\"%s\"", escapeLabel(name)))
 	}
 
-	header(w, "sompid_ingest_queue_depth", "gauge", "Per-shard ingest queue depth (batches waiting for the applier).")
+	header(w, "sompid_ingest_queue_depth", "gauge", "Per-shard ingest backlog: batches waiting for the shard lock behind the one applying.")
 	depthNames := make([]string, 0, len(queueDepths))
 	for name := range queueDepths {
 		depthNames = append(depthNames, name)
@@ -375,19 +376,10 @@ func (m *metrics) render(w io.Writer, s renderSample) {
 	for _, name := range depthNames {
 		fmt.Fprintf(w, "sompid_ingest_queue_depth{market=\"%s\"} %d\n", escapeLabel(name), queueDepths[name])
 	}
-	header(w, "sompid_ingest_queue_peak_depth", "gauge", "High-water mark of per-shard ingest queue depth since start.")
+	header(w, "sompid_ingest_queue_peak_depth", "gauge", "High-water mark since start of batches waiting on one shard behind the one applying.")
 	fmt.Fprintf(w, "sompid_ingest_queue_peak_depth %d\n", m.ingestQueuePeak.Load())
 	header(w, "sompid_ingest_batch_size", "histogram", "Ticks per applied ingest batch.")
 	m.batchSize.WriteProm(w, "sompid_ingest_batch_size", "")
-	header(w, "sompid_ingest_batch_target", "gauge", "Per-shard adaptive flush threshold: ticks staged before a batch is handed to the applier.")
-	targetNames := make([]string, 0, len(s.batchTargets))
-	for name := range s.batchTargets {
-		targetNames = append(targetNames, name)
-	}
-	sort.Strings(targetNames)
-	for _, name := range targetNames {
-		fmt.Fprintf(w, "sompid_ingest_batch_target{market=\"%s\"} %d\n", escapeLabel(name), s.batchTargets[name])
-	}
 
 	header(w, "sompid_market_version", "gauge", "Composite market mutation version.")
 	fmt.Fprintf(w, "sompid_market_version %d\n", marketVersion)

@@ -45,15 +45,16 @@ func newMemServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	return s, ts
 }
 
-// A full per-shard queue must answer 429 with Retry-After instead of
-// buffering without bound: the backpressure contract of the batched
-// ingest path.
+// A shard with every admission slot taken must answer 429 with
+// Retry-After instead of letting requests pile up on its lock without
+// bound: the backpressure contract of the ingest path.
 func TestIngestBackpressure429(t *testing.T) {
 	m := durableMarket()
 	s, ts := newMemServer(t, Config{Market: m, IngestQueue: -1}) // capacity 1
 
-	// Stall the applier inside the persist hook: the first batch blocks
-	// mid-apply, the second fills the 1-slot queue, the third must bounce.
+	// Stall the first batch inside the persist hook, mid-apply with the
+	// shard lock held: the second takes the one waiting slot, the third
+	// must bounce.
 	entered := make(chan struct{}, 16)
 	release := make(chan struct{})
 	var once sync.Once
@@ -81,16 +82,16 @@ func TestIngestBackpressure429(t *testing.T) {
 			results <- resp.StatusCode
 		}()
 		if i == 0 {
-			<-entered // applier owns batch 1; batch 2 will sit in the queue
+			<-entered // batch 1 is applying; batch 2 will wait for the shard lock
 		} else {
-			// Wait until batch 2 is actually queued behind the stalled
-			// applier before sending the one that must bounce. White-box:
+			// Wait until batch 2 actually holds its slot behind the stalled
+			// apply before sending the one that must bounce. White-box:
 			// /metrics would wedge here — ShardStats takes the shard read
 			// lock the stalled apply holds for writing.
 			deadline := time.Now().Add(5 * time.Second)
 			for s.ing.depths()["m1.small/us-east-1a"] < 1 {
 				if time.Now().After(deadline) {
-					t.Fatal("second batch never reached the queue")
+					t.Fatal("second batch never took its admission slot")
 				}
 				time.Sleep(2 * time.Millisecond)
 			}
@@ -105,7 +106,7 @@ func TestIngestBackpressure429(t *testing.T) {
 	n, _ := resp.Body.Read(body)
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusTooManyRequests {
-		t.Fatalf("full queue answered %d (%s), want 429", resp.StatusCode, body[:n])
+		t.Fatalf("full shard answered %d (%s), want 429", resp.StatusCode, body[:n])
 	}
 	if resp.Header.Get("Retry-After") == "" {
 		t.Fatal("429 carries no Retry-After header")
@@ -119,46 +120,93 @@ func TestIngestBackpressure429(t *testing.T) {
 	}
 }
 
-// The adaptive flush threshold doubles under queue pressure, halves
-// when the backlog drains, stays inside [minBatchTicks,
-// maxBatchTicksCap], and is observable per shard on /metrics.
-func TestIngestBatchTargetAdapts(t *testing.T) {
+// A one-shard feed longer than maxBatchTicks is applied in bounded
+// batches as it streams: every tick lands, in order, and the batch-size
+// histogram sees the mid-stream flushes.
+func TestLongFeedAppliesInBoundedBatches(t *testing.T) {
 	s, ts := newMemServer(t, Config{})
 	key := s.market.Keys()[0]
-	if got := s.ing.batchTarget(key); got != initBatchTicks {
-		t.Fatalf("initial batch target %d, want %d", got, initBatchTicks)
+	const ticks = 2*maxBatchTicks + 88
+	body := strings.Repeat(fmt.Sprintf("{\"type\":%q,\"zone\":%q,\"prices\":[0.05]}\n", key.Type, key.Zone), ticks)
+
+	versionBefore := s.market.VersionVector()[key]
+	batchesBefore := promValue(t, durableGet(t, ts.URL+"/metrics"), "sompid_ingest_batch_size_count")
+	resp, err := http.Post(ts.URL+"/v1/prices", "application/x-ndjson", strings.NewReader(body))
+	if err != nil {
+		t.Fatalf("POST long feed: %v", err)
 	}
-	for i := 0; i < 10; i++ {
-		s.ing.growTarget(key)
+	defer resp.Body.Close()
+	var pr PricesResponse
+	if err := json.NewDecoder(resp.Body).Decode(&pr); err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("long feed answered %d (decode err %v)", resp.StatusCode, err)
 	}
-	if got := s.ing.batchTarget(key); got != maxBatchTicksCap {
-		t.Fatalf("grown batch target %d, want capped at %d", got, maxBatchTicksCap)
+	if pr.Ticks != ticks || pr.Samples != ticks {
+		t.Fatalf("long feed reported %d ticks, %d samples, want %d of each", pr.Ticks, pr.Samples, ticks)
 	}
-	for i := 0; i < 10; i++ {
-		s.ing.decayTarget(key)
+	if got := s.market.VersionVector()[key] - versionBefore; got != ticks {
+		t.Fatalf("shard version advanced by %d, want %d", got, ticks)
 	}
-	if got := s.ing.batchTarget(key); got != minBatchTicks {
-		t.Fatalf("decayed batch target %d, want floored at %d", got, minBatchTicks)
+	batches := promValue(t, durableGet(t, ts.URL+"/metrics"), "sompid_ingest_batch_size_count") - batchesBefore
+	if batches != 3 {
+		t.Fatalf("%d ticks applied in %v batches, want 3 (%d + %d + 88)", ticks, batches, maxBatchTicks, maxBatchTicks)
+	}
+}
+
+// Close fences ingest: it waits out an apply already in flight (whose
+// request still answers 200), and every feed after it is refused with
+// 503 and moves nothing.
+func TestIngestAfterCloseAnswers503(t *testing.T) {
+	m := durableMarket()
+	s, ts := newMemServer(t, Config{Market: m})
+
+	entered := make(chan struct{})
+	release := make(chan struct{})
+	m.SetPersistBatch(func(_ cloud.MarketKey, ticks [][]float64, _ uint64) (int, error) {
+		close(entered) // exactly one apply gets this far
+		<-release
+		return len(ticks), nil
+	})
+	tick := `{"type":"m1.small","zone":"us-east-1a","prices":[0.05]}`
+	post := func() (int, error) {
+		resp, err := http.Post(ts.URL+"/v1/prices", "application/json", strings.NewReader(tick))
+		if err != nil {
+			return 0, err
+		}
+		resp.Body.Close()
+		return resp.StatusCode, nil
 	}
 
-	// Unknown shards fall back to the default; grow/decay are no-ops.
-	other := cloud.MarketKey{Type: "none", Zone: "nowhere"}
-	s.ing.growTarget(other)
-	if got := s.ing.batchTarget(other); got != initBatchTicks {
-		t.Fatalf("unknown-shard batch target %d, want %d", got, initBatchTicks)
+	stalled := make(chan int, 1)
+	go func() {
+		code, _ := post()
+		stalled <- code
+	}()
+	<-entered
+	closed := make(chan error, 1)
+	go func() { closed <- s.Close() }()
+	select {
+	case err := <-closed:
+		t.Fatalf("Close returned (%v) while an apply was stalled mid-batch", err)
+	case <-time.After(100 * time.Millisecond):
+	}
+	close(release)
+	if code := <-stalled; code != http.StatusOK {
+		t.Fatalf("the apply Close waited for answered %d, want 200", code)
+	}
+	if err := <-closed; err != nil {
+		t.Fatalf("Close: %v", err)
 	}
 
-	snap := s.ing.targetsSnapshot()
-	if len(snap) != len(s.market.Keys()) {
-		t.Fatalf("targets snapshot has %d shards, want %d", len(snap), len(s.market.Keys()))
+	before := s.market.Version()
+	code, err := post()
+	if err != nil {
+		t.Fatalf("POST after Close: %v", err)
 	}
-	if snap[key.String()] != minBatchTicks {
-		t.Fatalf("snapshot[%s] = %d, want %d", key, snap[key.String()], minBatchTicks)
+	if code != http.StatusServiceUnavailable {
+		t.Fatalf("feed after Close answered %d, want 503", code)
 	}
-	metrics := durableGet(t, ts.URL+"/metrics")
-	want := fmt.Sprintf("sompid_ingest_batch_target{market=%q} %d", key.String(), minBatchTicks)
-	if !strings.Contains(string(metrics), want) {
-		t.Fatalf("/metrics misses %q", want)
+	if got := s.market.Version(); got != before {
+		t.Fatalf("feed after Close moved the market version %d -> %d", before, got)
 	}
 }
 
@@ -297,16 +345,88 @@ func TestAsyncSchedulerMatchesLockstep(t *testing.T) {
 	}
 }
 
+// Invariant B9 under racing feeds: once every shard of a session's
+// universe has crossed its boundary the session is pending, whatever
+// order the crossings and the dispatcher's drains interleaved in — it is
+// never left in the heap of a shard already past the boundary, where no
+// later tick need ever come for it. No workers run, so what the
+// dispatcher placed stays put and nothing ever reads the (empty) plan.
+func TestSchedulerNeverStrandsCrossedSession(t *testing.T) {
+	iterations := 150
+	if testing.Short() {
+		iterations = 30
+	}
+	const sessions = 8
+	req := trackedPlan()
+	profile, ok := app.ByName(req.App)
+	if !ok {
+		t.Fatalf("unknown app %q", req.App)
+	}
+	samples := strings.TrimSuffix(strings.Repeat("0.05,", int(2.5*12)), ",")
+	for iter := 0; iter < iterations; iter++ {
+		s, err := New(Config{Market: durableMarket(), WindowHours: 2, ReoptWorkers: -1})
+		if err != nil {
+			t.Fatalf("serve.New: %v", err)
+		}
+		for i := 0; i < sessions; i++ {
+			if _, rerr := s.registerSession(profile, req, opt.Result{}, s.market.Version(), s.market.MinDuration(), nil); rerr != nil {
+				t.Fatalf("register %d: %v", i, rerr)
+			}
+		}
+		// One 2.5h tick per shard, all at once: every session's 2h
+		// boundary is crossed by whichever shard lands last.
+		h := s.Handler()
+		var wg sync.WaitGroup
+		for _, k := range s.market.Keys() {
+			wg.Add(1)
+			go func(k cloud.MarketKey) {
+				defer wg.Done()
+				body := fmt.Sprintf(`{"type":%q,"zone":%q,"prices":[%s]}`, k.Type, k.Zone, samples)
+				rec := httptest.NewRecorder()
+				h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/prices", strings.NewReader(body)))
+				if rec.Code != http.StatusOK {
+					t.Errorf("ingest %v: %d %s", k, rec.Code, rec.Body)
+				}
+			}(k)
+		}
+		wg.Wait()
+
+		sc := s.sched
+		sc.noteMu.Lock()
+		for len(sc.dirty) > 0 || sc.inflight {
+			sc.noteIdle.Wait()
+		}
+		sc.noteMu.Unlock()
+		sc.mu.Lock()
+		parked := 0
+		for _, hp := range sc.heaps {
+			for _, it := range *hp {
+				if it.boundary <= s.market.MinDurationFor(it.t.keys)+1e-9 {
+					parked++
+				}
+			}
+		}
+		pending := len(sc.pending)
+		sc.mu.Unlock()
+		if cerr := s.Close(); cerr != nil {
+			t.Fatalf("close: %v", cerr)
+		}
+		if parked != 0 || pending != sessions {
+			t.Fatalf("iteration %d: %d crossed sessions parked in shard heaps, %d of %d pending", iter, parked, pending, sessions)
+		}
+	}
+}
+
 // The headline scale test: thousands of tracked sessions advancing
 // under concurrent multi-shard NDJSON ingest. Registration is white-box
 // (one optimizer run fans out to every session) so the test spends its
-// time where the PR does — the ingest queues, the scheduler heaps and
-// the dedup cache — not in the optimizer.
+// time where the serve path does — shard applies, the scheduler heaps
+// and the dedup cache — not in the optimizer.
 //
 // The ingest_p99_ratio sub-test is the serve path's scaling gate:
 // single-tick ingest latency with every session registered must stay
-// within 2x of the empty-server baseline, because the batched appliers
-// and the scheduler keep session work off the request path.
+// within 2x of the empty-server baseline, because a feed only marks its
+// shard dirty and the scheduler keeps session work off the request path.
 func TestManySessionsUnderConcurrentIngest(t *testing.T) {
 	sessions := 10000
 	if raceEnabled {

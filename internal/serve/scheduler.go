@@ -12,7 +12,7 @@ import (
 // for the per-tick full registry scan. Every live session sits in
 // exactly one min-heap, keyed by the shard that currently gates its
 // next T_m boundary (the argmin-frontier shard of its candidate set),
-// ordered by boundary hour. A batch landing on a shard pops only the
+// ordered by boundary hour. A feed that advances a shard pops only the
 // sessions whose boundary that shard's new frontier actually released —
 // O(log n) per released session, zero work for the rest — and hands
 // them to a fixed worker pool that replays and re-optimizes off the
@@ -67,6 +67,9 @@ type pendingItem struct {
 // drives their window boundaries through a worker pool.
 type reoptScheduler struct {
 	s *Server
+	// keys is the market's fixed shard set: the candidate universe of a
+	// session registered without a restriction (t.keys == nil).
+	keys []cloud.MarketKey
 
 	mu       sync.Mutex
 	heaps    map[cloud.MarketKey]*boundaryHeap
@@ -77,9 +80,9 @@ type reoptScheduler struct {
 	idleCond *sync.Cond
 	wg       sync.WaitGroup
 
-	// The ingest-side notification state. Appliers only ever touch this
-	// half, so a dispatcher mid-drain (holding mu for a large heap pop)
-	// never stalls a tick batch.
+	// The ingest-side notification state. A feed that advances a shard
+	// only ever touches this half, so a dispatcher mid-drain (holding mu
+	// for a large heap pop) never stalls a tick batch.
 	noteMu     sync.Mutex
 	dirty      map[cloud.MarketKey]time.Time // shard -> earliest un-dispatched advance
 	inflight   bool                          // a dispatch is between pick-up and completion
@@ -94,6 +97,7 @@ type reoptScheduler struct {
 func newReoptScheduler(s *Server, workers int) *reoptScheduler {
 	sc := &reoptScheduler{
 		s:     s,
+		keys:  s.market.Keys(),
 		heaps: make(map[cloud.MarketKey]*boundaryHeap),
 		dirty: make(map[cloud.MarketKey]time.Time),
 	}
@@ -101,7 +105,7 @@ func newReoptScheduler(s *Server, workers int) *reoptScheduler {
 	sc.idleCond = sync.NewCond(&sc.mu)
 	sc.noteCond = sync.NewCond(&sc.noteMu)
 	sc.noteIdle = sync.NewCond(&sc.noteMu)
-	for _, k := range s.market.Keys() {
+	for _, k := range sc.keys {
 		h := make(boundaryHeap, 0)
 		sc.heaps[k] = &h
 	}
@@ -114,54 +118,61 @@ func newReoptScheduler(s *Server, workers int) *reoptScheduler {
 	return sc
 }
 
-// bindShard picks the heap a session waits in: the shard of its
-// candidate set whose frontier is furthest behind, because that shard
-// is the one gating MinDurationFor — no boundary can be crossed until
-// it advances. Caller holds sc.mu.
-func (sc *reoptScheduler) bindShard(t *trackedSession) cloud.MarketKey {
+// gate reports the shard gating a session's next boundary — the one of
+// its candidate set whose frontier is furthest behind, since no
+// boundary can be crossed until it advances — and that frontier, which
+// is MinDurationFor over the set. Each shard's frontier is read exactly
+// once, so the shard and the value always agree: with eligibility
+// decided from one reading and the heap chosen from a second, a shard
+// crossing in between parks the session behind a shard already past
+// its boundary (B9).
+func (sc *reoptScheduler) gate(t *trackedSession) (cloud.MarketKey, float64) {
 	keys := t.keys
 	if keys == nil {
-		keys = sc.s.market.Keys()
+		keys = sc.keys
 	}
-	best := keys[0]
-	bestDur := sc.s.market.MinDurationFor(keys[:1])
-	for _, k := range keys[1:] {
-		if d := sc.s.market.MinDurationFor([]cloud.MarketKey{k}); d < bestDur {
-			best, bestDur = k, d
+	best, frontier := keys[0], sc.s.market.MinDurationFor(keys[:1])
+	for i := 1; i < len(keys); i++ {
+		if d := sc.s.market.MinDurationFor(keys[i : i+1]); d < frontier {
+			best, frontier = keys[i], d
 		}
 	}
-	return best
+	return best, frontier
 }
 
-// add schedules a session for its next boundary: straight to the
-// pending queue when the frontier already crossed it (the recovery
-// path re-arms pre-crash boundaries this way), otherwise into the
-// gating shard's heap. The caller must own the session exclusively or
-// hold its t.mu — add reads t.boundary and t.done.
+// placeLocked puts a session where its boundary says it belongs: on the
+// pending queue for a worker when the frontier already crossed it
+// (eligibleAt is when it became crossable — the scheduler-lag histogram
+// measures from there), otherwise into the gating shard's heap. The
+// heap case cannot strand the session: the gating shard was read below
+// the boundary while sc.mu is held, so the tick that carries it across,
+// that tick's shardAdvanced and the dispatcher drain it triggers — which
+// needs sc.mu — all come after this push. Caller holds sc.mu.
+func (sc *reoptScheduler) placeLocked(it *boundaryItem, eligibleAt time.Time) {
+	key, frontier := sc.gate(it.t)
+	if it.boundary <= frontier+1e-9 {
+		sc.pending = append(sc.pending, pendingItem{t: it.t, eligibleAt: eligibleAt})
+		sc.workCond.Signal()
+		return
+	}
+	heap.Push(sc.heaps[key], it)
+}
+
+// add schedules a session for its next boundary; a boundary the
+// frontier already crossed goes straight to the pending queue (the
+// recovery path re-arms pre-crash boundaries this way). The caller must
+// own the session exclusively or hold its t.mu — add reads t.boundary
+// and t.done.
 func (sc *reoptScheduler) add(t *trackedSession) {
 	if t.done {
 		return
 	}
-	boundary := t.boundary
+	it := &boundaryItem{t: t, boundary: t.boundary}
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
-	if sc.closed {
-		return
+	if !sc.closed {
+		sc.placeLocked(it, time.Now())
 	}
-	if boundary <= sc.s.market.MinDurationFor(t.keys)+1e-9 {
-		sc.pendLocked(t, time.Now())
-		return
-	}
-	key := sc.bindShard(t)
-	heap.Push(sc.heaps[key], &boundaryItem{t: t, boundary: boundary})
-}
-
-// pendLocked queues a session for a worker. eligibleAt is when its
-// boundary became crossable — the scheduler-lag histogram measures from
-// there. Caller holds sc.mu.
-func (sc *reoptScheduler) pendLocked(t *trackedSession, eligibleAt time.Time) {
-	sc.pending = append(sc.pending, pendingItem{t: t, eligibleAt: eligibleAt})
-	sc.workCond.Signal()
 }
 
 // shardAdvanced is the ingest wake: the named shard's frontier moved.
@@ -181,8 +192,8 @@ func (sc *reoptScheduler) shardAdvanced(key cloud.MarketKey) {
 
 // dispatcher turns dirty-shard notifications into pending work. It
 // takes noteMu only to pick up a shard and sc.mu only to drain it, so
-// neither appliers (noteMu) nor workers (sc.mu) wait on the other's
-// long holds. inflight stays true from pick-up until the drained
+// neither feeds (noteMu) nor workers (sc.mu) wait on the other's long
+// holds. inflight stays true from pick-up until the drained
 // sessions are visibly pending, which is what lets drain() conclude
 // "note side idle implies my sessions reached the pending queue".
 func (sc *reoptScheduler) dispatcher() {
@@ -224,10 +235,11 @@ func (sc *reoptScheduler) dispatcher() {
 // drainShardLocked pops every session in the named shard's heap whose
 // pinned boundary the shard's frontier now reaches. A popped session
 // whose full candidate frontier still lags (another of its shards is
-// behind) is not eligible — it re-binds to that lagging shard's heap
-// instead, which cannot be this shard again (the lagging shard's
-// frontier is below the boundary this one just passed), so the loop
-// terminates. Caller holds sc.mu.
+// behind) is not eligible — placeLocked re-binds it to that lagging
+// shard's heap instead, which cannot be this shard again (frontiers
+// only grow, so this one still reads at or past the boundary and a
+// session it gated would be pending), so the loop terminates. Caller
+// holds sc.mu.
 func (sc *reoptScheduler) drainShardLocked(key cloud.MarketKey, advancedAt time.Time) {
 	h, ok := sc.heaps[key]
 	if !ok || h.Len() == 0 {
@@ -235,12 +247,7 @@ func (sc *reoptScheduler) drainShardLocked(key cloud.MarketKey, advancedAt time.
 	}
 	keyDur := sc.s.market.MinDurationFor([]cloud.MarketKey{key})
 	for h.Len() > 0 && (*h)[0].boundary <= keyDur+1e-9 {
-		it := heap.Pop(h).(*boundaryItem)
-		if it.boundary <= sc.s.market.MinDurationFor(it.t.keys)+1e-9 {
-			sc.pendLocked(it.t, advancedAt)
-			continue
-		}
-		heap.Push(sc.heaps[sc.bindShard(it.t)], it)
+		sc.placeLocked(heap.Pop(h).(*boundaryItem), advancedAt)
 	}
 }
 
@@ -289,11 +296,7 @@ func (sc *reoptScheduler) readdLocked(t *trackedSession) {
 	if t.done || sc.closed {
 		return
 	}
-	if t.boundary <= sc.s.market.MinDurationFor(t.keys)+1e-9 {
-		sc.pendLocked(t, time.Now())
-		return
-	}
-	heap.Push(sc.heaps[sc.bindShard(t)], &boundaryItem{t: t, boundary: t.boundary})
+	sc.placeLocked(&boundaryItem{t: t, boundary: t.boundary}, time.Now())
 }
 
 // drain blocks until the caller's prior shardAdvanced notifications

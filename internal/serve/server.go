@@ -69,9 +69,10 @@ type Config struct {
 	// SnapshotEvery cuts a snapshot after that many WAL records since
 	// the previous one; zero means 4096. Ignored without Store.
 	SnapshotEvery int
-	// IngestQueue bounds each shard's pending tick-batch queue; a full
-	// queue surfaces as 429 + Retry-After backpressure. Zero means 1024
-	// batches per shard; negative means 1.
+	// IngestQueue bounds how many tick batches may wait for one shard
+	// behind the batch being applied; one more surfaces as 429 +
+	// Retry-After backpressure. Zero means 1024 batches per shard;
+	// negative means 1.
 	IngestQueue int
 	// ReoptWorkers sizes the scheduler's re-optimization worker pool —
 	// the goroutines that drive tracked sessions across their T_m
@@ -122,7 +123,8 @@ type Server struct {
 	runCtx    context.Context
 	runCancel context.CancelFunc
 
-	// ing is the batched ingest pipeline (per-shard queues + appliers);
+	// ing is admission control for the ingest apply path (per-shard
+	// slots and the shutdown fence; the feed's own goroutine applies);
 	// sched the central re-optimization scheduler; reopts the
 	// single-flight cache that coalesces identical optimizer runs.
 	ing    *ingester
@@ -815,14 +817,16 @@ func strategyFor(req MonteCarloRequest, m cloud.MarketView) (replay.Strategy, er
 // single JSON array of ticks or whitespace/newline-separated tick
 // objects (NDJSON). Ticks are validated eagerly, staged per (type,
 // zone) shard and applied as batches — one shard lock acquisition and
-// one WAL group commit per batch — by the shard's applier goroutine, so
-// an arbitrarily long feed ingests in bounded memory, feeds for
-// different markets never contend, and the request path never runs a
-// session re-optimization: ingest latency is independent of how many
-// sessions the ticks invalidate. A shard whose applier queue stays full
-// answers 429 with Retry-After — the backpressure signal.
+// one WAL group commit per batch — by this handler, through
+// ingester.apply: a batch is this request's run for one shard, cut at
+// maxBatchTicks, so an arbitrarily long feed ingests in bounded memory,
+// feeds for different markets never contend, and the request path never
+// runs a session re-optimization: ingest latency is independent of how
+// many sessions the ticks invalidate. A shard with too many batches
+// already waiting on it answers 429 with Retry-After — the backpressure
+// signal; shards of the same feed flushed before it have applied.
 //
-// The response is written after every staged batch has applied, so
+// Every batch has applied by the time the response is written, so
 // MarketVersion/Ticks/Samples reflect exactly this request's feed.
 // Session re-optimization runs asynchronously: the default response
 // reports Reoptimized/Completed as 0; ?sync=1 drains the scheduler
@@ -855,21 +859,27 @@ func (s *Server) handlePrices(w http.ResponseWriter, r *http.Request) {
 
 	var resp PricesResponse
 	staged := make(map[cloud.MarketKey][][]float64)
-	var batches []*tickBatch
 	ticksSeen := 0
 
+	// flush applies one shard's staged run and folds its outcome into the
+	// response. The max composite version across this request's batches
+	// is the version after its last applied tick: versions are allotted
+	// atomically per applied tick.
 	flush := func(key cloud.MarketKey) error {
 		ticks := staged[key]
 		if len(ticks) == 0 {
 			return nil
 		}
 		delete(staged, key)
-		b := &tickBatch{key: key, ticks: ticks, start: time.Now(), done: make(chan batchResult, 1)}
-		if err := s.ing.enqueue(b); err != nil {
-			return err
+		applied, version, err := s.ing.apply(key, ticks)
+		resp.Ticks += applied
+		for _, t := range ticks[:applied] {
+			resp.Samples += len(t)
 		}
-		batches = append(batches, b)
-		return nil
+		if version > resp.MarketVersion {
+			resp.MarketVersion = version
+		}
+		return err
 	}
 	stage := func(tick PriceTick) error {
 		key := cloud.MarketKey{Type: tick.Type, Zone: tick.Zone}
@@ -888,33 +898,13 @@ func (s *Server) handlePrices(w http.ResponseWriter, r *http.Request) {
 		}
 		staged[key] = append(staged[key], tick.Prices)
 		ticksSeen++
-		if len(staged[key]) >= s.ing.batchTarget(key) {
+		if len(staged[key]) >= maxBatchTicks {
 			return flush(key)
 		}
 		return nil
 	}
-	// wait settles every enqueued batch and folds its outcome into the
-	// response. The max composite version across this request's batches
-	// is the version after its last applied tick: versions are allotted
-	// atomically per applied tick, and all of this request's ticks have
-	// applied by the time wait returns.
-	wait := func() error {
-		var firstErr error
-		for _, b := range batches {
-			res := <-b.done
-			resp.Ticks += res.applied
-			for _, t := range b.ticks[:res.applied] {
-				resp.Samples += len(t)
-			}
-			if res.version > resp.MarketVersion {
-				resp.MarketVersion = res.version
-			}
-			if res.err != nil && firstErr == nil {
-				firstErr = res.err
-			}
-		}
-		return firstErr
-	}
+	// flushAll keeps going after one shard's error — the other shards'
+	// staged ticks still apply — and reports the first.
 	flushAll := func() error {
 		var firstErr error
 		for key := range staged {
@@ -926,19 +916,13 @@ func (s *Server) handlePrices(w http.ResponseWriter, r *http.Request) {
 	}
 
 	if err := forEachTick(json.NewDecoder(r.Body), func() int { return ticksSeen }, stage); err != nil {
-		// Ticks staged (or batched) before the error still apply — the
-		// old path had applied them already — so settle them before
-		// answering, keeping the partial-apply semantics observable.
+		// Ticks staged before the error still apply: a feed lands up to
+		// its first bad tick, which is the position the error reports.
 		flushAll()
-		wait()
 		writeIngestError(w, err)
 		return
 	}
-	err := flushAll()
-	if werr := wait(); err == nil {
-		err = werr
-	}
-	if err != nil {
+	if err := flushAll(); err != nil {
 		// A tick's own failure is positioned in the feed; backpressure and
 		// shutdown are about the server, not a tick, and go out bare.
 		if !errors.Is(err, errIngestBacklog) && !errors.Is(err, errIngestClosed) {
@@ -999,9 +983,9 @@ func (s *Server) handlePrices(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// writeIngestError answers a failed feed: a full applier queue is 429
-// with Retry-After (the backpressure signal), a closing server 503, and
-// anything else the status of the tick error itself.
+// writeIngestError answers a failed feed: a shard out of admission
+// slots is 429 with Retry-After (the backpressure signal), a closing
+// server 503, and anything else the status of the tick error itself.
 func writeIngestError(w http.ResponseWriter, err error) {
 	switch {
 	case errors.Is(err, errIngestBacklog):
@@ -1117,7 +1101,6 @@ func (s *Server) writeMetricsTo(w io.Writer) {
 		shards:        s.market.ShardStats(),
 		wal:           wal,
 		queueDepths:   s.ing.depths(),
-		batchTargets:  s.ing.targetsSnapshot(),
 		captureSeg:    captureSeg,
 	}
 	if s.cluster != nil {

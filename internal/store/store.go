@@ -396,35 +396,11 @@ func readSnapshot(path string) ([]byte, error) {
 
 // Append frames and appends one record to the active segment, rotating
 // first when the segment is full and fsyncing after when Options.Fsync
-// is set. Safe to call with caller locks held: the store's mutex is a
-// leaf.
+// is set: a one-record AppendBatch, so the append sequence exists once.
+// Safe to call with caller locks held: the store's mutex is a leaf.
 func (s *Store) Append(rec Record) error {
-	frame := EncodeRecord(rec)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	switch {
-	case s.closed:
-		return ErrClosed
-	case !s.recovered:
-		return ErrNotRecovered
-	}
-	if s.size >= s.opts.SegmentBytes {
-		if err := s.rotateLocked(); err != nil {
-			return err
-		}
-	}
-	if _, err := s.f.Write(frame); err != nil {
-		return fmt.Errorf("store: appending to segment %d: %w", s.active, err)
-	}
-	s.size += int64(len(frame))
-	s.appended++
-	if s.opts.Fsync {
-		if err := s.syncLocked(); err != nil {
-			return err
-		}
-	}
-	s.notifyLocked()
-	return nil
+	_, err := s.AppendBatch([]Record{rec})
+	return err
 }
 
 // AppendBatch frames and appends a run of records under one mutex hold
