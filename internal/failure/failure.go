@@ -98,6 +98,19 @@ func exceedSteps(tr *trace.Trace, bid float64) []int {
 // result deterministic and exact with respect to the empirical history.
 // It panics on an empty history or non-positive horizon.
 func Estimate(tr *trace.Trace, bid float64, horizon int) *Dist {
+	return distOf(tr, exceedSteps(tr, bid), horizon)
+}
+
+// EstimateWithMTTF returns Estimate(tr, bid, horizon) and MTTF(tr, bid)
+// from one sweep of the history instead of one each: the same distances
+// through the same float operations in the same order, so bit-identical.
+func EstimateWithMTTF(tr *trace.Trace, bid float64, horizon int) (*Dist, float64) {
+	steps := exceedSteps(tr, bid)
+	return distOf(tr, steps, horizon), mttfOf(tr, steps)
+}
+
+// distOf histograms the first-passage distances of exceedSteps.
+func distOf(tr *trace.Trace, exceed []int, horizon int) *Dist {
 	if tr.Len() == 0 {
 		panic("failure: empty price history")
 	}
@@ -106,7 +119,7 @@ func Estimate(tr *trace.Trace, bid float64, horizon int) *Dist {
 	}
 	d := &Dist{T: horizon, P: make([]float64, horizon+1)}
 	steps := int(math.Ceil(float64(horizon) / tr.Step))
-	for _, ds := range exceedSteps(tr, bid) {
+	for _, ds := range exceed {
 		if ds >= 0 && ds < steps {
 			d.record(float64(ds)*tr.Step, true)
 		} else {
@@ -182,11 +195,17 @@ func MTTF(tr *trace.Trace, bid float64) float64 {
 	if bid >= tr.Max() {
 		return math.Inf(1)
 	}
+	return mttfOf(tr, exceedSteps(tr, bid))
+}
+
+// mttfOf averages the first-passage distances of exceedSteps. A bid no
+// price exceeds has every distance -1 and reads as censored: +Inf.
+func mttfOf(tr *trace.Trace, exceed []int) float64 {
 	horizon := tr.Duration() * 2
 	steps := int(math.Ceil(horizon / tr.Step))
 	sum := 0.0
 	censored := false
-	for _, ds := range exceedSteps(tr, bid) {
+	for _, ds := range exceed {
 		if ds >= 0 && ds < steps {
 			sum += float64(ds) * tr.Step
 		} else {

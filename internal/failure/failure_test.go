@@ -256,3 +256,26 @@ func TestExceedStepsMatchesScan(t *testing.T) {
 		}
 	}
 }
+
+// TestEstimateWithMTTFMatchesSeparateCalls pins the one-sweep pair to
+// the two single-purpose entry points, bit for bit, across the bid range
+// — including bids at and above the maximum, where MTTF short-circuits
+// and the shared sweep must arrive at +Inf on its own.
+func TestEstimateWithMTTFMatchesSeparateCalls(t *testing.T) {
+	for _, seed := range []uint64{5, 6, 7} {
+		tr := marketTrace(seed)
+		bids := []float64{0, tr.Mean() * 0.5, tr.Mean(), tr.Max() * 0.99, tr.Max(), tr.Max() * 2}
+		for _, bid := range bids {
+			d, mttf := EstimateWithMTTF(tr, bid, 30)
+			want := Estimate(tr, bid, 30)
+			for i := range want.P {
+				if math.Float64bits(d.P[i]) != math.Float64bits(want.P[i]) {
+					t.Fatalf("seed %d bid %v: P[%d] = %v, Estimate gives %v", seed, bid, i, d.P[i], want.P[i])
+				}
+			}
+			if w := MTTF(tr, bid); math.Float64bits(mttf) != math.Float64bits(w) {
+				t.Fatalf("seed %d bid %v: MTTF %v, want %v", seed, bid, mttf, w)
+			}
+		}
+	}
+}

@@ -93,7 +93,8 @@ func TestEvaluatorMatchesPackageFunction(t *testing.T) {
 }
 
 // TestEvaluatorAllocationFree verifies the optimizer's inner loop does
-// not allocate per evaluation once the Evaluator's scratch has grown.
+// not allocate per evaluation once the Evaluator's scratch has grown, nor
+// per push, pop or leaf of a PrefixStack sized for the grid.
 func TestEvaluatorAllocationFree(t *testing.T) {
 	m := testMarket(7)
 	od := defaultRecovery()
@@ -109,6 +110,21 @@ func TestEvaluatorAllocationFree(t *testing.T) {
 	})
 	if allocs > 0 {
 		t.Errorf("EvaluatePrepared allocates %.1f objects per call, want 0", allocs)
+	}
+
+	stack := NewPrefixStack([][]*PreparedGroup{pgs}, len(pgs)-1)
+	last := pgs[len(pgs)-1]
+	allocs = testing.AllocsPerRun(100, func() {
+		for _, pg := range pgs[:len(pgs)-1] {
+			stack.Push(pg)
+		}
+		stack.LeafCost(last, od)
+		for range pgs[:len(pgs)-1] {
+			stack.Pop()
+		}
+	})
+	if allocs > 0 {
+		t.Errorf("PrefixStack push/leaf/pop allocates %.1f objects per descent, want 0", allocs)
 	}
 }
 

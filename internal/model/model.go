@@ -14,7 +14,10 @@
 // Because the optimizer evaluates hundreds of thousands of bid vectors,
 // the per-(group, bid) work — failure distribution, expected price, the
 // Ratio and spot-time distributions with their survival/CDF arrays — is
-// captured once in a PreparedGroup and reused across plans.
+// captured once in a PreparedGroup and reused across plans. PrefixStack
+// (prefix.go) goes one step further for the optimizer's depth-first
+// search: sibling leaves share one merged survival product and price their
+// cost against it, bit-identical to EvaluatePrepared's.
 package model
 
 import (
@@ -112,15 +115,12 @@ func (g *Group) Prewarm(bids []float64) {
 		}
 	}
 	for _, bid := range bids {
-		if _, ok := w.dist[bid]; !ok {
-			w.dist[bid] = failure.Estimate(g.Hist, bid, g.T)
+		// The three maps are only ever filled together, here.
+		if _, ok := w.dist[bid]; ok {
+			continue
 		}
-		if _, ok := w.price[bid]; !ok {
-			w.price[bid] = failure.ExpectedSpotPrice(g.Hist, bid)
-		}
-		if _, ok := w.mttf[bid]; !ok {
-			w.mttf[bid] = failure.MTTF(g.Hist, bid)
-		}
+		w.dist[bid], w.mttf[bid] = failure.EstimateWithMTTF(g.Hist, bid, g.T)
+		w.price[bid] = failure.ExpectedSpotPrice(g.Hist, bid)
 	}
 	g.warm.Store(&w)
 }

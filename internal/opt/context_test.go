@@ -10,9 +10,11 @@ import (
 	"sompi/internal/cloud"
 )
 
-// fullSearchConfig is a deliberately large search (exhaustive, serial):
-// ~10^5 evaluations, long enough that a mid-flight cancellation lands
-// while workers are still descending the bid grids.
+// fullSearchConfig is a deliberately large search (exhaustive, serial,
+// all twelve markets on an eight-level grid): ~2·10^6 leaves, several
+// hundred milliseconds, long enough that a mid-flight cancellation lands
+// while workers are still descending the bid grids on any machine. (The
+// default knobs' ~10^5 leaves finish in about 30 ms.)
 func fullSearchConfig(m *cloud.Market) Config {
 	return Config{
 		Profile:        app.BT(),
@@ -20,6 +22,8 @@ func fullSearchConfig(m *cloud.Market) Config {
 		Deadline:       200,
 		Workers:        1,
 		DisablePruning: true,
+		MaxGroups:      12,
+		GridLevels:     8,
 	}
 }
 
@@ -47,7 +51,7 @@ func TestOptimizeContextCancellationStopsSearchEarly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if full.Evals < 10_000 {
+	if full.Evals < 1_000_000 {
 		t.Fatalf("full search only evaluated %d plans; too small to observe cancellation", full.Evals)
 	}
 

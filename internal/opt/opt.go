@@ -254,9 +254,11 @@ type Result struct {
 	Plan model.Plan
 	Est  model.Estimate
 	// Evals counts cost-model evaluations performed — the optimization-
-	// overhead metric of the κ parameter study. Pruned counts the
-	// evaluations branch-and-bound skipped because a partial plan's spot
-	// cost already exceeded the incumbent best.
+	// overhead metric of the κ parameter study: one per leaf visited,
+	// whether its cost alone rejected it or it went on to a full estimate
+	// with its time side. Pruned counts the evaluations branch-and-bound
+	// skipped because a partial plan's spot cost already exceeded the
+	// incumbent best.
 	//
 	// Determinism contract: Plan and Est are bit-identical at every
 	// worker count, with or without pruning, warm starting and reuse.
@@ -592,6 +594,7 @@ func OptimizeContext(ctx context.Context, cfg Config, opts ...Option) (Result, e
 				stop:      &stop,
 				subset:    make([]int, 0, kappa),
 				pgs:       make([]*model.PreparedGroup, 0, kappa),
+				stack:     model.NewPrefixStack(prepared, kappa-1),
 				partial:   make([]float64, kappa+1),
 				suffixMin: make([]float64, kappa+1),
 				leaves:    make([]int, kappa+1),
@@ -778,6 +781,9 @@ type searcher struct {
 
 	subset []int
 	pgs    []*model.PreparedGroup
+	// stack mirrors pgs: the placed groups' survival product, which the
+	// leaves below them price themselves against.
+	stack *model.PrefixStack
 	// partial[d] is the spot-cost sum of the groups placed at depths
 	// < d; suffixMin[d] is the cheapest possible spot cost of the groups
 	// at depths >= d; leaves[d] is the number of bid combinations below
@@ -851,24 +857,10 @@ func (s *searcher) searchSubset() {
 	s.searchBids(0)
 }
 
+// searchBids tries each grid bid of the subset's depth-th group: above the
+// last depth it goes onto pgs and the prefix stack, at it each is a leaf.
 func (s *searcher) searchBids(depth int) {
-	if depth == len(s.subset) {
-		est := s.eval.EvaluatePrepared(s.pgs, s.od)
-		s.evals++
-		if s.cfg.MaxAllFail > 0 && est.PAllFail > s.cfg.MaxAllFail {
-			return
-		}
-		if est.Time <= s.cfg.Deadline && est.Cost < s.localBound() {
-			gps := make([]model.GroupPlan, len(s.pgs))
-			for i, pg := range s.pgs {
-				gps[i] = pg.GP
-			}
-			s.best = Result{Plan: model.Plan{Groups: gps, Recovery: s.od}, Est: est}
-			s.found = true
-			s.incumbent.lower(est.Cost)
-		}
-		return
-	}
+	last := depth == len(s.subset)-1
 	for _, pg := range s.prepared[s.subset[depth]] {
 		if s.stop.Load() {
 			return
@@ -886,12 +878,52 @@ func (s *searcher) searchBids(depth int) {
 			s.pruned += s.leaves[depth+1]
 			continue
 		}
+		if last {
+			s.leaf(pg)
+			continue
+		}
 		s.partial[depth+1] = s.partial[depth] + pg.CostSpot()
 		s.pgs = append(s.pgs, pg)
+		s.stack.Push(pg)
 		s.searchBids(depth + 1)
+		s.stack.Pop()
 		s.pgs = s.pgs[:len(s.pgs)-1]
 	}
 }
+
+// leaf scores the plan made of the placed groups plus last. Acceptance
+// needs cost below the unit's best, the deadline met and MaxAllFail
+// passed; cost settles most leaves, so it is priced first, against the
+// prefix stack, and only a leaf that passes pays for the full estimate —
+// which, like the one the Result carries, is the reference evaluator's.
+func (s *searcher) leaf(last *model.PreparedGroup) {
+	s.evals++
+	cost := s.stack.LeafCost(last, s.od)
+	if leafAudit != nil {
+		leafAudit(s, last, cost)
+	}
+	if !(cost < s.localBound()) {
+		return
+	}
+	pgs := append(s.pgs, last)
+	est := s.eval.EvaluatePrepared(pgs, s.od)
+	if s.cfg.MaxAllFail > 0 && est.PAllFail > s.cfg.MaxAllFail {
+		return
+	}
+	if est.Time <= s.cfg.Deadline && est.Cost < s.localBound() {
+		gps := make([]model.GroupPlan, len(pgs))
+		for i, pg := range pgs {
+			gps[i] = pg.GP
+		}
+		s.best = Result{Plan: model.Plan{Groups: gps, Recovery: s.od}, Est: est}
+		s.found = true
+		s.incumbent.lower(est.Cost)
+	}
+}
+
+// leafAudit is a test-only observer of every leaf and the cost the
+// prefix stack gave it; nothing outside the package's tests sets it.
+var leafAudit func(s *searcher, last *model.PreparedGroup, cost float64)
 
 // localBound is the acceptance threshold for the current partition: the
 // partition's own best if it has one, else the pure-on-demand baseline.

@@ -245,8 +245,7 @@ func TestCancelledRequestRecordsLatency(t *testing.T) {
 	countSeries := `sompid_request_seconds_count{endpoint="plan"}`
 	before := metricValue(t, getBody(t, ts.URL+"/metrics"), countSeries)
 
-	req := serve.PlanRequest{App: "BT", DeadlineHours: 200, Workers: 1, DisablePruning: true}
-	payload, _ := json.Marshal(req)
+	payload, _ := json.Marshal(slowPlanRequest())
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
 	httpReq, _ := http.NewRequestWithContext(ctx, http.MethodPost, ts.URL+"/v1/plan", bytes.NewReader(payload))

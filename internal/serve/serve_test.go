@@ -424,6 +424,17 @@ func TestSessionReoptimization(t *testing.T) {
 	}
 }
 
+// slowPlanRequest is an exhaustive search over all twelve markets on an
+// eight-level grid: 2,144,481 leaves, several hundred milliseconds on
+// any machine, so a client that gives up after 50 ms always gives up
+// first. (The default knobs' 103,945 leaves finish in about 30 ms.)
+func slowPlanRequest() serve.PlanRequest {
+	return serve.PlanRequest{
+		App: "BT", DeadlineHours: 200, Workers: 1, DisablePruning: true,
+		MaxGroups: 12, GridLevels: 8,
+	}
+}
+
 // TestPlanCancellationStopsSearch cancels a deliberately exhaustive
 // request mid-search and asserts (a) the service registers the
 // cancellation and (b) the search provably stopped early: the evals
@@ -431,9 +442,7 @@ func TestSessionReoptimization(t *testing.T) {
 // finish.
 func TestPlanCancellationStopsSearch(t *testing.T) {
 	ts := newTestServer(t, serve.Config{})
-	req := serve.PlanRequest{
-		App: "BT", DeadlineHours: 200, Workers: 1, DisablePruning: true,
-	}
+	req := slowPlanRequest()
 	payload, _ := json.Marshal(req)
 
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
