@@ -65,7 +65,9 @@ cluster-smoke:
 # record and capture-log decoders must return typed errors, never panic,
 # on arbitrary torn/corrupt input; the /v1/prices tick-stream parser
 # must answer any body with a JSON envelope and apply exactly the ticks
-# it reports; /metrics label escaping must round-trip any string.
+# it reports; /metrics label escaping must round-trip any string; the
+# cluster's shipping-frame codec must fail typed on any byte stream and
+# re-encode every frame it decodes to the exact bytes it consumed.
 # (go test -fuzz takes one target per invocation.)
 FUZZTIME ?= 10s
 fuzz:
@@ -74,6 +76,7 @@ fuzz:
 	$(GO) test ./internal/harness -run '^$$' -fuzz 'FuzzDecodeCaptureRecord' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/serve -run '^$$' -fuzz 'FuzzIngestPrices' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/serve -run '^$$' -fuzz 'FuzzEscapeLabel' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/cluster -run '^$$' -fuzz 'FuzzReadFrame' -fuzztime $(FUZZTIME)
 
 # Same gates as running serve-smoke, tournament-smoke, replay-smoke and
 # cluster-smoke one by one; the three process smokes share one cmd/smoke

@@ -137,8 +137,9 @@ var (
 //
 // Concurrency: Append locks only the target shard, so ingestion into
 // different markets proceeds in parallel and readers of other shards are
-// undisturbed. Traces are immutable — an append installs a new
-// *trace.Trace — so any captured view stays internally consistent.
+// undisturbed. Traces are immutable — an append writes past the end of
+// every capped view handed out and installs a new *trace.Trace — so any
+// captured view stays internally consistent.
 // Composite reads (Version, VersionVector, MinDuration, Snapshot) visit
 // shards one read-lock at a time and are therefore weakly consistent
 // under concurrent ingestion: each entry is exact, the cross-shard
@@ -192,7 +193,8 @@ type PersistBatchFunc func(key MarketKey, ticks [][]float64, firstVersion uint64
 
 // ShardState is one shard's full durable state as captured into (and
 // restored from) a snapshot: the retained ring buffer, the absolute
-// clock, and the counters.
+// clock, and the counters. An exported Prices is the shard's own
+// immutable view and is read-only; restoring copies it.
 type ShardState struct {
 	Type      string    `json:"type"`
 	Zone      string    `json:"zone"`
@@ -316,11 +318,11 @@ func (m *Market) ValidateTick(key MarketKey, samples []float64) error {
 // Append extends one shard's price history with new samples (prices in
 // $/instance-hour, one per trace step) and returns the market's new
 // composite version. Only the target shard is locked: concurrent appends
-// to other shards, and reads of them, proceed undisturbed. The existing
-// trace is not mutated — a fresh trace replaces it, so previously
-// captured views remain consistent. Appending an empty sample set is a
-// no-op that still bumps both the shard and composite versions (the
-// ingestion heartbeat advanced, even if no price changed).
+// to other shards, and reads of them, proceed undisturbed. No view
+// already handed out changes — the samples land past its end — so
+// previously captured views remain consistent. Appending an empty
+// sample set is a no-op that still bumps both the shard and composite
+// versions (the ingestion heartbeat advanced, even if no price changed).
 func (m *Market) Append(key MarketKey, samples []float64) (uint64, error) {
 	_, version, err := m.AppendBatch(key, [][]float64{samples})
 	return version, err

@@ -3,6 +3,7 @@ package cloud
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 
 	"sompi/internal/trace"
@@ -16,14 +17,16 @@ import (
 // which re-optimizes per circle group: price movement in one (type, AZ)
 // market is an event for that market alone.
 //
-// The trace inside a shard is immutable; append installs a fresh
-// *trace.Trace. A reader that captured the trace before an append keeps
-// a consistent view forever.
+// The samples live in one backing array; every trace the shard hands out
+// is a capped view of it, and an append writes only past every view's
+// end, so a captured view never changes and a reader's append onto it
+// copies.
 type shard struct {
 	key MarketKey
 
-	mu sync.RWMutex
-	tr *trace.Trace
+	mu  sync.RWMutex
+	buf []float64    // retained samples, then spare capacity
+	tr  *trace.Trace // Prices is buf[:len(buf):len(buf)]
 	// version is this shard's mutation counter: 1 at construction, +1
 	// per append (empty appends included — the ingestion heartbeat).
 	version uint64
@@ -34,8 +37,20 @@ type shard struct {
 	compacted uint64
 }
 
+// newShard caps the caller's samples, so the first append copies and the
+// caller's slice is never written.
 func newShard(key MarketKey, tr *trace.Trace) *shard {
-	return &shard{key: key, tr: tr, version: 1}
+	s := &shard{key: key, version: 1}
+	s.install(tr.Step, slices.Clip(tr.Prices), tr.Head)
+	return s
+}
+
+// install makes buf the backing array and publishes the capped view over
+// its samples; the caller holds the write lock (or owns the shard).
+func (s *shard) install(step float64, buf []float64, head int) {
+	n := len(buf)
+	s.buf = buf
+	s.tr = &trace.Trace{Step: step, Prices: buf[:n:n], Head: head}
 }
 
 // capture returns the shard's current trace and version under one read
@@ -103,16 +118,26 @@ func (s *shard) appendBatch(ticks [][]float64, retainHours float64, persist Pers
 }
 
 // applyLocked performs the in-memory append; the caller holds the write
-// lock.
+// lock. The samples land in buf's spare capacity, past the end of every
+// view handed out; when it runs out, a fresh array of about twice the
+// retained samples takes over, carrying the retained range only.
 func (s *shard) applyLocked(samples []float64, retainHours float64) {
-	next := s.tr.Append(trace.New(s.tr.Step, samples))
-	if drop := retainDrop(next, retainHours); drop > 0 {
-		next = next.Compact(drop)
-		s.compacted += uint64(drop)
+	buf := s.buf
+	if n := len(buf) + len(samples); n > cap(buf) {
+		buf = make([]float64, len(s.buf), 2*n)
+		copy(buf, s.buf)
 	}
-	s.tr = next
+	s.retainLocked(append(buf, samples...), retainHours)
 	s.version++
 	s.ticks++
+}
+
+// retainLocked installs buf minus the leading samples past the retention
+// bound (0 disables), advancing the head so the absolute clock holds.
+func (s *shard) retainLocked(buf []float64, retainHours float64) {
+	drop := retainDrop(len(buf), s.tr.Step, retainHours)
+	s.compacted += uint64(drop)
+	s.install(s.tr.Step, buf[drop:], s.tr.Head+drop)
 }
 
 // applyReplay applies a WAL tick during recovery, idempotently: a
@@ -135,18 +160,17 @@ func (s *shard) applyReplay(samples []float64, version uint64, retainHours float
 }
 
 // exportState captures the shard's full durable state under one read
-// lock.
+// lock. Prices is the shard's current view, shared, not copied: views
+// are immutable.
 func (s *shard) exportState() ShardState {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	prices := make([]float64, len(s.tr.Prices))
-	copy(prices, s.tr.Prices)
 	return ShardState{
 		Type:      s.key.Type,
 		Zone:      s.key.Zone,
 		Step:      s.tr.Step,
 		Head:      s.tr.Head,
-		Prices:    prices,
+		Prices:    s.tr.Prices,
 		Version:   s.version,
 		Ticks:     s.ticks,
 		Compacted: s.compacted,
@@ -162,11 +186,17 @@ func (s *shard) restoreState(st ShardState) error {
 	copy(prices, st.Prices)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.tr = &trace.Trace{Step: st.Step, Prices: prices, Head: st.Head}
+	s.loadLocked(st, prices)
+	return nil
+}
+
+// loadLocked installs a snapshot capture over prices, the caller's
+// private copy of st.Prices; the caller holds the write lock.
+func (s *shard) loadLocked(st ShardState, prices []float64) {
+	s.install(st.Step, prices, st.Head)
 	s.version = st.Version
 	s.ticks = st.Ticks
 	s.compacted = st.Compacted
-	return nil
 }
 
 // mergeState restores the shard from a snapshot capture only when that
@@ -188,10 +218,7 @@ func (s *shard) mergeState(st ShardState) (uint64, error) {
 		return 0, nil
 	}
 	delta := st.Version - s.version
-	s.tr = &trace.Trace{Step: st.Step, Prices: prices, Head: st.Head}
-	s.version = st.Version
-	s.ticks = st.Ticks
-	s.compacted = st.Compacted
+	s.loadLocked(st, prices)
 	return delta, nil
 }
 
@@ -200,24 +227,21 @@ func (s *shard) mergeState(st ShardState) (uint64, error) {
 func (s *shard) compactTo(retainHours float64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if drop := retainDrop(s.tr, retainHours); drop > 0 {
-		s.tr = s.tr.Compact(drop)
-		s.compacted += uint64(drop)
-	}
+	s.retainLocked(s.buf, retainHours)
 }
 
-// retainDrop computes how many leading samples exceed the retention
-// bound. At least one sample is always retained so the shard keeps a
-// live price.
-func retainDrop(tr *trace.Trace, retainHours float64) int {
+// retainDrop computes how many of n leading samples at step exceed the
+// retention bound. At least one sample is always retained so the shard
+// keeps a live price.
+func retainDrop(n int, step, retainHours float64) int {
 	if retainHours <= 0 {
 		return 0
 	}
-	keep := int(retainHours / tr.Step)
+	keep := int(retainHours / step)
 	if keep < 1 {
 		keep = 1
 	}
-	if drop := tr.Len() - keep; drop > 0 {
+	if drop := n - keep; drop > 0 {
 		return drop
 	}
 	return 0

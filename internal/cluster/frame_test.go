@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
 	"testing"
@@ -67,6 +68,93 @@ func TestFrameTornInput(t *testing.T) {
 		}
 		if !errors.Is(err, want) {
 			t.Fatalf("prefix of %d bytes: err %v, want %v", cut, err, want)
+		}
+	}
+}
+
+// fuzzAllocCap bounds the payload FuzzReadFrame lets ReadFrame allocate
+// for a frame torn before its declared end. Such a frame is
+// io.ErrUnexpectedEOF at any length; above the cap it would only make
+// each fuzz run allocate up to MaxFramePayload.
+const fuzzAllocCap = 1 << 16
+
+// FuzzReadFrame: the shipping stream's frame codec on arbitrary bytes
+// never panics and fails only with its typed errors — io.EOF exactly at
+// a frame boundary, io.ErrUnexpectedEOF mid-frame, ErrFrameTooLarge —
+// and is canonical: a frame that decodes re-encodes to exactly the bytes
+// it consumed, and a chunk or snapshot payload that decodes re-encodes
+// to exactly its payload.
+func FuzzReadFrame(f *testing.F) {
+	var stream bytes.Buffer
+	WriteChunkFrame(&stream, 7, 4096, []byte("segment bytes"))
+	WriteSnapshotFrame(&stream, 9, []byte("snapshot file"))
+	WriteFrame(&stream, FrameHeartbeat, nil)
+	WriteFrame(&stream, FrameReset, nil)
+	whole := stream.Bytes()
+	f.Add(whole)
+	f.Add(whole[:len(whole)-7]) // torn mid-frame
+	f.Add(whole[:3])            // torn header
+	f.Add([]byte{})
+	f.Add([]byte{FrameChunk, 0xff, 0xff, 0xff, 0xff}) // hostile length
+	var neg bytes.Buffer
+	WriteChunkFrame(&neg, 1, -1, nil) // negative offset
+	f.Add(neg.Bytes())
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		checkPayload(t, data)
+		r := bytes.NewReader(data)
+		for {
+			at := len(data) - r.Len()
+			if rest := data[at:]; len(rest) >= 5 {
+				n := int(binary.BigEndian.Uint32(rest[1:5]))
+				if n > fuzzAllocCap && n <= MaxFramePayload && n > len(rest)-5 {
+					return
+				}
+			}
+			typ, payload, err := ReadFrame(r)
+			switch {
+			case errors.Is(err, io.EOF):
+				if at != len(data) {
+					t.Fatalf("io.EOF at offset %d of %d, want io.ErrUnexpectedEOF mid-frame", at, len(data))
+				}
+				return
+			case errors.Is(err, io.ErrUnexpectedEOF), errors.Is(err, ErrFrameTooLarge):
+				return
+			case err != nil:
+				t.Fatalf("untyped error %v", err)
+			}
+			var re bytes.Buffer
+			if err := WriteFrame(&re, typ, payload); err != nil {
+				t.Fatalf("decoded frame does not re-encode: %v", err)
+			}
+			if consumed := data[at : len(data)-r.Len()]; !bytes.Equal(re.Bytes(), consumed) {
+				t.Fatalf("re-encode mismatch: %x != %x", re.Bytes(), consumed)
+			}
+			checkPayload(t, payload)
+		}
+	})
+}
+
+// checkPayload decodes payload as a chunk and as a snapshot; each decode
+// that succeeds must re-encode to the frame carrying exactly payload.
+func checkPayload(t *testing.T, payload []byte) {
+	t.Helper()
+	var want bytes.Buffer
+	if seq, off, data, err := DecodeChunkPayload(payload); err == nil {
+		var got bytes.Buffer
+		WriteChunkFrame(&got, seq, off, data)
+		WriteFrame(&want, FrameChunk, payload)
+		if !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Fatalf("chunk (%d, %d) re-encodes to %x, want %x", seq, off, got.Bytes(), want.Bytes())
+		}
+	}
+	want.Reset()
+	if seq, data, err := DecodeSnapshotPayload(payload); err == nil {
+		var got bytes.Buffer
+		WriteSnapshotFrame(&got, seq, data)
+		WriteFrame(&want, FrameSnapshot, payload)
+		if !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Fatalf("snapshot %d re-encodes to %x, want %x", seq, got.Bytes(), want.Bytes())
 		}
 	}
 }

@@ -24,6 +24,13 @@ type shardTick struct {
 	samples []float64
 }
 
+// concat is the monolithic reference append: a fresh trace holding tr's
+// samples followed by samples, on tr's clock.
+func concat(tr *trace.Trace, samples []float64) *trace.Trace {
+	prices := append(append([]float64(nil), tr.Prices...), samples...)
+	return &trace.Trace{Step: tr.Step, Prices: prices, Head: tr.Head}
+}
+
 // equivalenceTicks spreads appends unevenly across shards — some keys
 // get several ticks, most get none — so the sharded store's per-shard
 // logs genuinely diverge in length before the comparison.
@@ -64,8 +71,7 @@ func TestShardedPlanEquivalence(t *testing.T) {
 		if _, err := sharded.Append(tk.key, tk.samples); err != nil {
 			t.Fatalf("sharded append %v: %v", tk.key, err)
 		}
-		old := refTraces[tk.key]
-		refTraces[tk.key] = old.Append(trace.New(old.Step, tk.samples))
+		refTraces[tk.key] = concat(refTraces[tk.key], tk.samples)
 	}
 	ref := cloud.NewMarket(cloud.DefaultCatalog(), cloud.DefaultZones(), refTraces)
 
@@ -125,8 +131,7 @@ func TestShardedPlanEquivalenceOverHTTP(t *testing.T) {
 		if status != http.StatusOK {
 			t.Fatalf("ingest %v: %d %s", tk.key, status, body)
 		}
-		old := refTraces[tk.key]
-		refTraces[tk.key] = old.Append(trace.New(old.Step, tk.samples))
+		refTraces[tk.key] = concat(refTraces[tk.key], tk.samples)
 	}
 	ref := cloud.NewMarket(cloud.DefaultCatalog(), cloud.DefaultZones(), refTraces)
 

@@ -1,9 +1,6 @@
 package trace
 
-import (
-	"math"
-	"testing"
-)
+import "testing"
 
 // seqTrace builds a trace whose i-th sample equals i, so any index
 // arithmetic error shows up as a wrong price.
@@ -111,17 +108,25 @@ func TestWindowBeforeHead(t *testing.T) {
 	}
 }
 
-func TestAppendAndCloneCarryHead(t *testing.T) {
+func TestCloneCarriesHead(t *testing.T) {
 	c := seqTrace(120).Compact(20)
-	grown := c.Append(New(DefaultStep, []float64{1000, 1001}))
-	if grown.Head != 20 || grown.Len() != 102 {
-		t.Fatalf("append after compaction: head %d len %d", grown.Head, grown.Len())
-	}
-	if want := float64(122) * DefaultStep; math.Abs(grown.Duration()-want) > 1e-12 {
-		t.Fatalf("duration after append %v, want %v", grown.Duration(), want)
-	}
 	cl := c.Clone()
-	if cl.Head != c.Head || cl.Len() != c.Len() {
+	if cl.Head != c.Head || cl.Len() != c.Len() || cl.Duration() != c.Duration() {
 		t.Fatalf("clone dropped compaction state: head %d len %d", cl.Head, cl.Len())
+	}
+}
+
+// TestWindowIsCapped: a window is a read-only view, so an append onto it
+// must copy rather than write the parent's next sample.
+func TestWindowIsCapped(t *testing.T) {
+	tr := seqTrace(240)
+	w := tr.Window(5, 5)
+	if cap(w.Prices) != len(w.Prices) {
+		t.Fatalf("window cap %d, len %d", cap(w.Prices), len(w.Prices))
+	}
+	next := tr.Prices[tr.IndexAt(10)]
+	_ = append(w.Prices, -1)
+	if got := tr.Prices[tr.IndexAt(10)]; got != next {
+		t.Fatalf("append onto a window wrote the parent: %v, want %v", got, next)
 	}
 }

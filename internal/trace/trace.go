@@ -6,7 +6,6 @@
 package trace
 
 import (
-	"fmt"
 	"math"
 
 	"sompi/internal/stats"
@@ -26,6 +25,11 @@ const DefaultStep = 1.0 / 12
 // Duration still reports the absolute frontier. Statistics (Max, Mean,
 // MeanBelow, FractionBelow, FirstExceed, Histogram) operate on the
 // retained samples only.
+//
+// A trace handed out by a market (or windowed from one) is a read-only
+// view whose Prices is capped (cap == len): the market keeps appending
+// past its end into the same backing array, so a reader must never
+// write its samples, and an append onto it copies.
 type Trace struct {
 	// Step is the sampling interval in hours.
 	Step float64
@@ -82,9 +86,9 @@ func (t *Trace) At(hour float64) float64 {
 // Window returns the sub-trace covering [startHour, startHour+durHours)
 // in absolute hours. The window is clamped to the retained samples; the
 // samples are shared, not copied, because windows are read-only views in
-// this codebase. The result is detached from the absolute clock (Head 0):
-// a training window is its own coordinate system, exactly as before
-// compaction existed.
+// this codebase, and capped, so an append onto one copies. The result is
+// detached from the absolute clock (Head 0): a training window is its
+// own coordinate system, exactly as before compaction existed.
 func (t *Trace) Window(startHour, durHours float64) *Trace {
 	lo := int(startHour/t.Step) - t.Head
 	hi := int(math.Ceil((startHour+durHours)/t.Step)) - t.Head
@@ -102,7 +106,7 @@ func (t *Trace) Window(startHour, durHours float64) *Trace {
 	if lo > hi {
 		lo = hi
 	}
-	return &Trace{Step: t.Step, Prices: t.Prices[lo:hi]}
+	return &Trace{Step: t.Step, Prices: t.Prices[lo:hi:hi]}
 }
 
 // Compact drops the n oldest retained samples and returns the compacted
@@ -198,19 +202,6 @@ func (t *Trace) Histogram(lo, hi float64, bins int) *stats.Histogram {
 		h.Add(p)
 	}
 	return h
-}
-
-// Append concatenates other onto t and returns the combined trace. Both
-// traces must share the same step. The adaptive optimizer (Algorithm 1)
-// appends each optimization window's observed prices to its history.
-func (t *Trace) Append(other *Trace) *Trace {
-	if t.Step != other.Step {
-		panic(fmt.Sprintf("trace: step mismatch %v vs %v", t.Step, other.Step))
-	}
-	combined := make([]float64, 0, len(t.Prices)+len(other.Prices))
-	combined = append(combined, t.Prices...)
-	combined = append(combined, other.Prices...)
-	return &Trace{Step: t.Step, Prices: combined, Head: t.Head}
 }
 
 // Clone returns a deep copy of the trace.

@@ -112,28 +112,6 @@ func TestFirstExceed(t *testing.T) {
 	}
 }
 
-func TestAppend(t *testing.T) {
-	a := New(1, []float64{1, 2})
-	b := New(1, []float64{3})
-	c := a.Append(b)
-	if c.Len() != 3 || c.Prices[2] != 3 {
-		t.Fatalf("Append produced %v", c.Prices)
-	}
-	// Original must be untouched.
-	if a.Len() != 2 {
-		t.Fatal("Append mutated its receiver")
-	}
-}
-
-func TestAppendStepMismatchPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Append with mismatched steps did not panic")
-		}
-	}()
-	New(1, nil).Append(New(0.5, nil))
-}
-
 func TestClone(t *testing.T) {
 	a := New(1, []float64{1, 2})
 	b := a.Clone()
