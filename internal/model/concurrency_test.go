@@ -118,7 +118,7 @@ func TestEvaluatorAllocationFree(t *testing.T) {
 		for _, pg := range pgs[:len(pgs)-1] {
 			stack.Push(pg)
 		}
-		stack.LeafCost(last, od)
+		stack.LeafCost(last, od.T, od.Rate(), math.Inf(1))
 		for range pgs[:len(pgs)-1] {
 			stack.Pop()
 		}

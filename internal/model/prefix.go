@@ -9,10 +9,11 @@ package model
 // two-way walk, so the grid bids under one prefix share its product.
 //
 // Only the ratio side is stacked: most leaves are rejected on cost, which
-// needs E[min Ratio] and the spot-cost sum only, and a leaf that passes
-// gets its full Estimate from Evaluator.EvaluatePrepared. LeafCost equals
-// that Estimate's Cost to the bit (DESIGN §6 has the argument). A
-// PrefixStack must not be shared between goroutines.
+// needs E[min Ratio] and the spot-cost sum only, and most of those stop
+// partway, once the partial cost is past the caller's limit; a leaf that
+// passes gets its full Estimate from Evaluator.EvaluatePrepared. A walk
+// LeafCost finishes equals that Estimate's Cost to the bit (DESIGN §6 has
+// the argument). A PrefixStack must not be shared between goroutines.
 type PrefixStack struct {
 	// steps[0] is the empty product; steps[d] covers the first d pushes.
 	steps []ratioStep
@@ -102,22 +103,30 @@ func (s *PrefixStack) Push(pg *PreparedGroup) {
 // Pop removes the most recently pushed group.
 func (s *PrefixStack) Pop() { s.steps = s.steps[:len(s.steps)-1] }
 
-// LeafCost reports Estimate.Cost of the plan made of the pushed groups
-// followed by last, recovered on od — bit-identical to what
-// Evaluator.EvaluatePrepared returns for the same groups in that order.
-func (s *PrefixStack) LeafCost(last *PreparedGroup, od OnDemand) float64 {
-	costSpot, eMinRatio := s.leaf(last)
-	return costSpot + eMinRatio*od.T*od.Rate()
+// LeafCost prices the plan made of the pushed groups followed by last;
+// odT and rate are the recovery fleet's OnDemand.T and Rate(). The walk
+// stops once the partial cost, which only grows along it (DESIGN §6), is
+// strictly above limit, and returns it with within false. Otherwise cost
+// is the Estimate.Cost Evaluator.EvaluatePrepared returns for the same
+// groups in that order, to the bit; limit +Inf always walks in full.
+func (s *PrefixStack) LeafCost(last *PreparedGroup, odT, rate, limit float64) (cost float64, within bool) {
+	costSpot, eMinRatio, within := s.leaf(last, odT, rate, limit)
+	return costSpot + eMinRatio*odT*rate, within
 }
 
-// leaf integrates the top step against last's own: the leaf's
-// Estimate.CostSpot and Estimate.EMinRatio.
-func (s *PrefixStack) leaf(last *PreparedGroup) (costSpot, eMinRatio float64) {
+// leaf integrates the top step against last's own, stopping as LeafCost
+// describes: the leaf's Estimate.CostSpot and (the partial sum of)
+// Estimate.EMinRatio.
+func (s *PrefixStack) leaf(last *PreparedGroup, odT, rate, limit float64) (costSpot, e float64, within bool) {
 	top := &s.steps[len(s.steps)-1]
+	costSpot = top.costSpot + last.costSpot
+	if costSpot > limit {
+		return costSpot, 0, false
+	}
 	xs, vs := top.vals, top.tail
 	gx, gv := last.ratioStep()
 	i, j := 0, 0
-	prev, e := 0.0, 0.0
+	prev := 0.0
 	for i < len(xs) && j < len(gx) {
 		prod := vs[i] * gv[j]
 		next := xs[i]
@@ -133,15 +142,22 @@ func (s *PrefixStack) leaf(last *PreparedGroup) (costSpot, eMinRatio float64) {
 		}
 		e += (next - prev) * prod
 		prev = next
+		if costSpot+e*odT*rate > limit {
+			return costSpot, e, false
+		}
 	}
-	// One side is exhausted and holds at its last tail element.
-	for ; i < len(xs); i++ {
-		e += (xs[i] - prev) * (vs[i] * gv[j])
-		prev = xs[i]
+	// One side is exhausted and holds at its last tail element; the other
+	// walks on alone (the product's two factors commute exactly).
+	rx, rv, hold := xs[i:], vs[i:], gv[j]
+	if j < len(gx) {
+		rx, rv, hold = gx[j:], gv[j:], vs[i]
 	}
-	for ; j < len(gx); j++ {
-		e += (gx[j] - prev) * (vs[i] * gv[j])
-		prev = gx[j]
+	for k, x := range rx {
+		e += (x - prev) * (rv[k] * hold)
+		prev = x
+		if costSpot+e*odT*rate > limit {
+			return costSpot, e, false
+		}
 	}
-	return top.costSpot + last.costSpot, e
+	return costSpot, e, true
 }

@@ -10,14 +10,15 @@ import (
 )
 
 // stackLeaf pushes all but the last of pgs (the stack must be empty) and
-// prices the last as a leaf, the way the optimizer's DFS does.
+// prices the last as a leaf with no limit, the way the optimizer's DFS
+// does under DisablePruning.
 func stackLeaf(s *PrefixStack, pgs []*PreparedGroup, od OnDemand) (cost, costSpot, eMinRatio float64) {
 	last := pgs[len(pgs)-1]
 	for _, pg := range pgs[:len(pgs)-1] {
 		s.Push(pg)
 	}
-	cost = s.LeafCost(last, od)
-	costSpot, eMinRatio = s.leaf(last)
+	cost, _ = s.LeafCost(last, od.T, od.Rate(), math.Inf(1))
+	costSpot, eMinRatio, _ = s.leaf(last, od.T, od.Rate(), math.Inf(1))
 	for range pgs[:len(pgs)-1] {
 		s.Pop()
 	}
@@ -42,6 +43,36 @@ func assertLeafBits(t *testing.T, label string, s *PrefixStack, pgs []*PreparedG
 		if math.Float64bits(c.got) != math.Float64bits(c.want) {
 			t.Fatalf("%s: %s = %v (%#x), reference %v (%#x)", label, c.name,
 				c.got, math.Float64bits(c.got), c.want, math.Float64bits(c.want))
+		}
+	}
+	assertLeafLimit(t, label, s, pgs, od, want)
+}
+
+// assertLeafLimit checks the bounded walk against the reference cost at
+// limits on both sides of it: a limit at or above the cost walks in full
+// to the reference bits, one below it (even by one ulp) stops with a
+// partial cost strictly above the limit and at most the reference.
+func assertLeafLimit(t *testing.T, label string, s *PrefixStack, pgs []*PreparedGroup, od OnDemand, ref Estimate) {
+	t.Helper()
+	last := pgs[len(pgs)-1]
+	for _, pg := range pgs[:len(pgs)-1] {
+		s.Push(pg)
+	}
+	defer func() {
+		for range pgs[:len(pgs)-1] {
+			s.Pop()
+		}
+	}()
+	want, spot := ref.Cost, ref.CostSpot
+	for _, limit := range []float64{want, math.Nextafter(want, math.Inf(1)), math.Nextafter(want, 0), (spot + want) / 2, spot} {
+		cost, within := s.LeafCost(last, od.T, od.Rate(), limit)
+		switch {
+		case within != (want <= limit):
+			t.Fatalf("%s: limit %v against cost %v: within %v", label, limit, want, within)
+		case within && math.Float64bits(cost) != math.Float64bits(want):
+			t.Fatalf("%s: limit %v: full walk cost %#x, reference %#x", label, limit, math.Float64bits(cost), math.Float64bits(want))
+		case !within && !(limit < cost && cost <= want):
+			t.Fatalf("%s: limit %v: cut at %v, reference %v", label, limit, cost, want)
 		}
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"sompi/internal/app"
 	"sompi/internal/cloud"
 	"sompi/internal/model"
+	"sompi/internal/stats"
 )
 
 // BenchmarkOptimize measures one full SOMPI optimization at the paper's
@@ -56,6 +57,47 @@ func BenchmarkOptimizeSearch(b *testing.B) {
 			b.ReportMetric(float64(res.Pruned), "pruned/op")
 		})
 	}
+}
+
+// BenchmarkPlanMiss is the ledger's plan-miss pass in-process: every app
+// preset at six stratified deadlines in U[40,120) h on the plan-miss
+// training view, Workers: 1, against a ReuseCache warmed the way the
+// workload's warm-up warms sompid's (every preset at 100 h). One op is
+// one pass of 48 plans; ns/plan, evals/plan and pruned/plan are the
+// numbers to compare across a search change.
+func BenchmarkPlanMiss(b *testing.B) {
+	view := planMissMarket()
+	cache := NewReuseCache()
+	var profiles []app.Profile
+	for _, name := range planMissPresets {
+		p, ok := app.ByName(name)
+		if !ok {
+			b.Fatalf("no preset %q", name)
+		}
+		profiles = append(profiles, p)
+		if _, err := OptimizeContext(context.Background(), Config{Profile: p, Market: view, Deadline: 100, Workers: 1, Reuse: cache}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	deadlines := planMissDeadlines(stats.NewRNG(1), 6)
+	plans, evals, pruned := 0, 0, 0
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, p := range profiles {
+			for _, d := range deadlines {
+				res, err := OptimizeContext(context.Background(), Config{Profile: p, Market: view, Deadline: d, Workers: 1, Reuse: cache})
+				if err != nil {
+					b.Fatal(err)
+				}
+				plans++
+				evals += res.Evals
+				pruned += res.Pruned
+			}
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(plans), "ns/plan")
+	b.ReportMetric(float64(evals)/float64(plans), "evals/plan")
+	b.ReportMetric(float64(pruned)/float64(plans), "pruned/plan")
 }
 
 // BenchmarkOptimizeKappa sweeps κ, the paper's Section 5.2 overhead

@@ -255,10 +255,10 @@ type Result struct {
 	Est  model.Estimate
 	// Evals counts cost-model evaluations performed — the optimization-
 	// overhead metric of the κ parameter study: one per leaf visited,
-	// whether its cost alone rejected it or it went on to a full estimate
-	// with its time side. Pruned counts the evaluations branch-and-bound
-	// skipped because a partial plan's spot cost already exceeded the
-	// incumbent best.
+	// whether its walk stopped at the incumbent, its cost alone rejected
+	// it or it went on to a full estimate with its time side. Pruned
+	// counts the evaluations branch-and-bound skipped because a partial
+	// plan's spot cost already exceeded the incumbent best.
 	//
 	// Determinism contract: Plan and Est are bit-identical at every
 	// worker count, with or without pruning, warm starting and reuse.
@@ -586,6 +586,8 @@ func OptimizeContext(ctx context.Context, cfg Config, opts ...Option) (Result, e
 			return &searcher{
 				cfg:       cfg,
 				od:        od,
+				odT:       od.T,
+				odRate:    od.Rate(),
 				prepared:  prepared,
 				minSpot:   minSpot,
 				kappa:     kappa,
@@ -778,6 +780,8 @@ type searcher struct {
 	incumbent *sharedCost
 	stop      *atomic.Bool
 	eval      model.Evaluator
+	// odT and odRate are od.T and od.Rate(), read once instead of per leaf.
+	odT, odRate float64
 
 	subset []int
 	pgs    []*model.PreparedGroup
@@ -896,13 +900,19 @@ func (s *searcher) searchBids(depth int) {
 // passed; cost settles most leaves, so it is priced first, against the
 // prefix stack, and only a leaf that passes pays for the full estimate —
 // which, like the one the Result carries, is the reference evaluator's.
+// The cost walk stops at the shared incumbent (DESIGN §6): a cut leaf
+// counts in Evals but never meets the unit-local acceptance test.
 func (s *searcher) leaf(last *model.PreparedGroup) {
 	s.evals++
-	cost := s.stack.LeafCost(last, s.od)
-	if leafAudit != nil {
-		leafAudit(s, last, cost)
+	limit := math.Inf(1)
+	if !s.cfg.DisablePruning {
+		limit = s.incumbent.load()
 	}
-	if !(cost < s.localBound()) {
+	cost, within := s.stack.LeafCost(last, s.odT, s.odRate, limit)
+	if leafAudit != nil {
+		leafAudit(s, last, cost, limit, within)
+	}
+	if !within || !(cost < s.localBound()) {
 		return
 	}
 	pgs := append(s.pgs, last)
@@ -921,9 +931,10 @@ func (s *searcher) leaf(last *model.PreparedGroup) {
 	}
 }
 
-// leafAudit is a test-only observer of every leaf and the cost the
-// prefix stack gave it; nothing outside the package's tests sets it.
-var leafAudit func(s *searcher, last *model.PreparedGroup, cost float64)
+// leafAudit is a test-only observer of every leaf: the limit its walk
+// ran against, and the cost and within the prefix stack returned for it.
+// Nothing outside the package's tests sets it.
+var leafAudit func(s *searcher, last *model.PreparedGroup, cost, limit float64, within bool)
 
 // localBound is the acceptance threshold for the current partition: the
 // partition's own best if it has one, else the pure-on-demand baseline.
