@@ -67,7 +67,9 @@ cluster-smoke:
 # must answer any body with a JSON envelope and apply exactly the ticks
 # it reports; /metrics label escaping must round-trip any string; the
 # cluster's shipping-frame codec must fail typed on any byte stream and
-# re-encode every frame it decodes to the exact bytes it consumed.
+# re-encode every frame it decodes to the exact bytes it consumed; a
+# session record of any bytes folds onto a held session state into a
+# typed error or a well-formed state.
 # (go test -fuzz takes one target per invocation.)
 FUZZTIME ?= 10s
 fuzz:
@@ -77,6 +79,7 @@ fuzz:
 	$(GO) test ./internal/serve -run '^$$' -fuzz 'FuzzIngestPrices' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/serve -run '^$$' -fuzz 'FuzzEscapeLabel' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/cluster -run '^$$' -fuzz 'FuzzReadFrame' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/serve -run '^$$' -fuzz 'FuzzSessionFold' -fuzztime $(FUZZTIME)
 
 # Same gates as running serve-smoke, tournament-smoke, replay-smoke and
 # cluster-smoke one by one; the three process smokes share one cmd/smoke

@@ -66,31 +66,114 @@ func firstExceedCyclic(tr *trace.Trace, start int, bid, horizonHours float64) (f
 
 // exceedSteps returns, for every sample index, the number of samples to
 // the first price (cyclically) strictly above the bid, or -1 when no
-// sample in the whole history exceeds it. One O(n) backward sweep over
-// the doubled index space replaces the O(n·horizon) per-start rescan of
-// firstExceedCyclic; the distances are the same integers that scan would
-// count, so every derived quantity is bit-identical.
-func exceedSteps(tr *trace.Trace, bid float64) []int {
+// sample in the whole history exceeds it, plus the longest distance. One
+// O(n) backward sweep replaces the O(n·horizon) per-start rescan of
+// firstExceedCyclic: it starts one lap ahead at the first exceedance,
+// which is where a start past the last one lands after wrapping. The
+// distances are the same integers that scan would count, so every
+// derived quantity is bit-identical.
+func exceedSteps(tr *trace.Trace, bid float64) (dist []int32, longest int32) {
 	n := tr.Len()
-	dist := make([]int, n)
+	dist = make([]int32, n)
 	next := -1
-	for i := 2*n - 1; i >= 0; i-- {
-		j := i
-		if j >= n {
-			j -= n
-		}
-		if tr.Prices[j] > bid {
-			next = i
-		}
-		if i < n {
-			if next < 0 {
-				dist[i] = -1
-			} else {
-				dist[i] = next - i
-			}
+	for j, p := range tr.Prices {
+		if p > bid {
+			next = j + n
+			break
 		}
 	}
-	return dist
+	if next < 0 {
+		for i := range dist {
+			dist[i] = -1
+		}
+		return dist, -1
+	}
+	for i := n - 1; i >= 0; i-- {
+		if tr.Prices[i] > bid {
+			next = i
+		}
+		dist[i] = int32(next - i)
+		longest = max(longest, dist[i])
+	}
+	return dist, longest
+}
+
+// Passage is one exhaustive first-passage sweep of a price history at
+// one bid: for every distance d, how many start samples first see a
+// price above the bid d samples later, plus the MTTF of the same sweep.
+// Nothing in it depends on a horizon — that enters only when Dist groups
+// the counts into hours — so one Passage serves every circle group that
+// draws on the same history, whatever its T. Immutable once built.
+type Passage struct {
+	step float64
+	n    int
+	// counts[d] is the number of starts whose first exceedance is d
+	// samples away; starts that never exceed are n minus the total.
+	counts []int32
+	mttf   float64
+}
+
+// NewPassage sweeps tr once at bid. It panics on an empty history.
+func NewPassage(tr *trace.Trace, bid float64) *Passage {
+	n := tr.Len()
+	if n == 0 {
+		panic("failure: empty price history")
+	}
+	exceed, longest := exceedSteps(tr, bid)
+	// One pass in sample order fills the histogram and the MTTF. The MTTF
+	// is a float sum, so it is taken from the distances in this order,
+	// never re-derived from the order-free histogram. Its horizon is
+	// generous: twice the history, so only a bid no price exceeds is
+	// censored (+Inf).
+	counts := make([]int32, longest+1)
+	horizon := tr.Duration() * 2
+	steps := int(math.Ceil(horizon / tr.Step))
+	sum, censored := 0.0, false
+	for _, ds := range exceed {
+		if ds >= 0 {
+			counts[ds]++
+		}
+		if ds >= 0 && int(ds) < steps {
+			sum += float64(ds) * tr.Step
+		} else {
+			censored = true
+			sum += horizon
+		}
+	}
+	mttf := math.Inf(1)
+	if !censored {
+		mttf = sum / float64(n)
+	}
+	return &Passage{step: tr.Step, n: n, counts: counts, mttf: mttf}
+}
+
+// MTTF reports the sweep's mean first-passage time in hours (+Inf when
+// some start never exceeds the bid).
+func (p *Passage) MTTF() float64 { return p.mttf }
+
+// Dist groups the sweep into the failure-time distribution over horizon
+// hours. It is bit-identical to histogramming every start on its own:
+// each bucket is a sum of whole counts, exact in float64 in any order,
+// and the normalization is the same division.
+// It panics on a non-positive horizon.
+func (p *Passage) Dist(horizon int) *Dist {
+	if horizon <= 0 {
+		panic("failure: non-positive horizon")
+	}
+	d := &Dist{T: horizon, P: make([]float64, horizon+1)}
+	steps := int(math.Ceil(float64(horizon) / p.step))
+	within := 0
+	for ds, c := range p.counts[:min(steps, len(p.counts))] {
+		// A passage that lands at or past the horizon is a completion,
+		// exactly as record files it.
+		if h := float64(ds) * p.step; c > 0 && h < float64(horizon) {
+			d.P[int(h)] += float64(c)
+			within += int(c)
+		}
+	}
+	d.P[horizon] = float64(p.n - within)
+	d.normalize(float64(p.n))
+	return d
 }
 
 // Estimate computes the failure-time distribution exhaustively: every
@@ -98,36 +181,7 @@ func exceedSteps(tr *trace.Trace, bid float64) []int {
 // result deterministic and exact with respect to the empirical history.
 // It panics on an empty history or non-positive horizon.
 func Estimate(tr *trace.Trace, bid float64, horizon int) *Dist {
-	return distOf(tr, exceedSteps(tr, bid), horizon)
-}
-
-// EstimateWithMTTF returns Estimate(tr, bid, horizon) and MTTF(tr, bid)
-// from one sweep of the history instead of one each: the same distances
-// through the same float operations in the same order, so bit-identical.
-func EstimateWithMTTF(tr *trace.Trace, bid float64, horizon int) (*Dist, float64) {
-	steps := exceedSteps(tr, bid)
-	return distOf(tr, steps, horizon), mttfOf(tr, steps)
-}
-
-// distOf histograms the first-passage distances of exceedSteps.
-func distOf(tr *trace.Trace, exceed []int, horizon int) *Dist {
-	if tr.Len() == 0 {
-		panic("failure: empty price history")
-	}
-	if horizon <= 0 {
-		panic("failure: non-positive horizon")
-	}
-	d := &Dist{T: horizon, P: make([]float64, horizon+1)}
-	steps := int(math.Ceil(float64(horizon) / tr.Step))
-	for _, ds := range exceed {
-		if ds >= 0 && ds < steps {
-			d.record(float64(ds)*tr.Step, true)
-		} else {
-			d.record(float64(horizon), false)
-		}
-	}
-	d.normalize(float64(tr.Len()))
-	return d
+	return NewPassage(tr, bid).Dist(horizon)
 }
 
 // EstimateMC computes the distribution with g random start points, the
@@ -195,30 +249,7 @@ func MTTF(tr *trace.Trace, bid float64) float64 {
 	if bid >= tr.Max() {
 		return math.Inf(1)
 	}
-	return mttfOf(tr, exceedSteps(tr, bid))
-}
-
-// mttfOf averages the first-passage distances of exceedSteps. A bid no
-// price exceeds has every distance -1 and reads as censored: +Inf.
-func mttfOf(tr *trace.Trace, exceed []int) float64 {
-	horizon := tr.Duration() * 2
-	steps := int(math.Ceil(horizon / tr.Step))
-	sum := 0.0
-	censored := false
-	for _, ds := range exceed {
-		if ds >= 0 && ds < steps {
-			sum += float64(ds) * tr.Step
-		} else {
-			censored = true
-			sum += horizon
-		}
-	}
-	if censored {
-		// Bid below the max but some cyclic scans still never exceeded it
-		// (possible only when horizon truncates); treat as very reliable.
-		return math.Inf(1)
-	}
-	return sum / float64(tr.Len())
+	return NewPassage(tr, bid).MTTF()
 }
 
 // ExpectedSpotPrice reports S_i(P): the mean of the historical prices at

@@ -241,10 +241,10 @@ func TestExceedStepsMatchesScan(t *testing.T) {
 	steps := int(math.Ceil(horizon / tr.Step))
 	bids := []float64{0, tr.Mean() * 0.5, tr.Mean(), tr.Max() * 0.99, tr.Max(), tr.Max() * 2}
 	for _, bid := range bids {
-		dist := exceedSteps(tr, bid)
+		dist, _ := exceedSteps(tr, bid)
 		for s := 0; s < tr.Len(); s += 7 {
 			wantH, wantEx := firstExceedCyclic(tr, s, bid, horizon)
-			gotEx := dist[s] >= 0 && dist[s] < steps
+			gotEx := dist[s] >= 0 && int(dist[s]) < steps
 			gotH := horizon
 			if gotEx {
 				gotH = float64(dist[s]) * tr.Step
@@ -257,25 +257,91 @@ func TestExceedStepsMatchesScan(t *testing.T) {
 	}
 }
 
-// TestEstimateWithMTTFMatchesSeparateCalls pins the one-sweep pair to
-// the two single-purpose entry points, bit for bit, across the bid range
-// — including bids at and above the maximum, where MTTF short-circuits
-// and the shared sweep must arrive at +Inf on its own.
-func TestEstimateWithMTTFMatchesSeparateCalls(t *testing.T) {
-	for _, seed := range []uint64{5, 6, 7} {
-		tr := marketTrace(seed)
-		bids := []float64{0, tr.Mean() * 0.5, tr.Mean(), tr.Max() * 0.99, tr.Max(), tr.Max() * 2}
-		for _, bid := range bids {
-			d, mttf := EstimateWithMTTF(tr, bid, 30)
-			want := Estimate(tr, bid, 30)
-			for i := range want.P {
-				if math.Float64bits(d.P[i]) != math.Float64bits(want.P[i]) {
-					t.Fatalf("seed %d bid %v: P[%d] = %v, Estimate gives %v", seed, bid, i, d.P[i], want.P[i])
+// parentDist and parentMTTF are the per-start derivations Passage
+// replaced, copied verbatim so the pin below does not move with the
+// package: every start's distance recorded one at a time, and the MTTF
+// summed in sample order.
+func parentDist(tr *trace.Trace, exceed []int, horizon int) *Dist {
+	d := &Dist{T: horizon, P: make([]float64, horizon+1)}
+	steps := int(math.Ceil(float64(horizon) / tr.Step))
+	for _, ds := range exceed {
+		if ds >= 0 && ds < steps {
+			d.record(float64(ds)*tr.Step, true)
+		} else {
+			d.record(float64(horizon), false)
+		}
+	}
+	d.normalize(float64(tr.Len()))
+	return d
+}
+
+func parentMTTF(tr *trace.Trace, exceed []int) float64 {
+	horizon := tr.Duration() * 2
+	steps := int(math.Ceil(horizon / tr.Step))
+	sum := 0.0
+	censored := false
+	for _, ds := range exceed {
+		if ds >= 0 && ds < steps {
+			sum += float64(ds) * tr.Step
+		} else {
+			censored = true
+			sum += horizon
+		}
+	}
+	if censored {
+		return math.Inf(1)
+	}
+	return sum / float64(tr.Len())
+}
+
+// TestPassageMatchesParentSweep pins Passage.Dist and Passage.MTTF, bit
+// for bit, to the per-start derivation they replaced: 24 h and 96 h
+// windows of every shard of a generated market (heads past zero, as a
+// served training window has), eight grid bid levels from the window's
+// maximum down, and ten horizons from 1 to 300 hours — 1,920
+// distributions. Estimate and MTTF, which now go through Passage, are
+// held to the same reference.
+func TestPassageMatchesParentSweep(t *testing.T) {
+	m := cloud.GenerateMarket(cloud.DefaultCatalog(), cloud.DefaultZones(), 240, 7)
+	horizons := []int{1, 2, 5, 12, 24, 47, 96, 150, 240, 300}
+	checks := 0
+	for _, win := range []float64{24, 96} {
+		view := m.Window(240-win, win)
+		for _, key := range m.Keys() {
+			tr, _ := view.TraceFor(key)
+			for l := 0; l < 8; l++ {
+				bid := tr.Max() / math.Pow(2, float64(l))
+				var exceed []int
+				dist, _ := exceedSteps(tr, bid)
+				for _, ds := range dist {
+					exceed = append(exceed, int(ds))
+				}
+				p := NewPassage(tr, bid)
+				wantMTTF := parentMTTF(tr, exceed)
+				if math.Float64bits(p.MTTF()) != math.Float64bits(wantMTTF) {
+					t.Fatalf("%v %vh bid %v: MTTF %v, parent %v", key, win, bid, p.MTTF(), wantMTTF)
+				}
+				if got := MTTF(tr, bid); math.Float64bits(got) != math.Float64bits(wantMTTF) {
+					t.Fatalf("%v %vh bid %v: MTTF() %v, parent %v", key, win, bid, got, wantMTTF)
+				}
+				for _, h := range horizons {
+					want := parentDist(tr, exceed, h)
+					for _, got := range []*Dist{p.Dist(h), Estimate(tr, bid, h)} {
+						if got.T != want.T || len(got.P) != len(want.P) {
+							t.Fatalf("%v %vh bid %v T %d: shape %d/%d, parent %d/%d", key, win, bid, h, got.T, len(got.P), want.T, len(want.P))
+						}
+						for i := range want.P {
+							if math.Float64bits(got.P[i]) != math.Float64bits(want.P[i]) {
+								t.Fatalf("%v %vh bid %v T %d: P[%d] = %v, parent %v", key, win, bid, h, i, got.P[i], want.P[i])
+							}
+						}
+					}
+					checks++
 				}
 			}
-			if w := MTTF(tr, bid); math.Float64bits(mttf) != math.Float64bits(w) {
-				t.Fatalf("seed %d bid %v: MTTF %v, want %v", seed, bid, mttf, w)
-			}
 		}
+	}
+	if checks != 1920 {
+		t.Fatalf("identity sweep ran %d checks, want 1920", checks)
 	}
 }

@@ -7,6 +7,7 @@ import (
 
 	"sompi/internal/app"
 	"sompi/internal/cloud"
+	"sompi/internal/failure"
 )
 
 // TestGroupCachesConcurrent hammers one shared Group's per-bid caches
@@ -18,7 +19,7 @@ func TestGroupCachesConcurrent(t *testing.T) {
 	m := testMarket(5)
 	g := NewGroup(app.BT(), cloud.M1Medium, cloud.ZoneA, m.Trace(cloud.M1Medium.Name, cloud.ZoneA))
 	bids := []float64{0.02, 0.04, 0.08, 0.16, 0.32, 0.64}
-	g.Prewarm(bids[:3]) // half warm, half cold
+	g.Prewarm(bids[:3], nil) // half warm, half cold
 
 	// Reference values computed single-threaded on a cache-equivalent
 	// twin group.
@@ -40,7 +41,7 @@ func TestGroupCachesConcurrent(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			if w == 0 {
-				g.Prewarm(bids) // concurrent re-warm must not disturb readers
+				g.Prewarm(bids, nil) // concurrent re-warm must not disturb readers
 			}
 			for rep := 0; rep < 20; rep++ {
 				for i, bid := range bids {
@@ -129,23 +130,54 @@ func TestEvaluatorAllocationFree(t *testing.T) {
 }
 
 // TestPrewarmMatchesColdPath asserts warm and cold lookups derive the
-// same quantities.
+// same quantities, bit for bit — whether the warm group sweeps its own
+// history or takes its sweeps from a source a residual profile's group
+// on the same history filled.
 func TestPrewarmMatchesColdPath(t *testing.T) {
 	m := testMarket(8)
-	cold := NewGroup(app.BT(), cloud.C3XLarge, cloud.ZoneB, m.Trace(cloud.C3XLarge.Name, cloud.ZoneB))
-	warm := resetCache(cold)
+	hist := m.Trace(cloud.C3XLarge.Name, cloud.ZoneB)
+	cold := NewGroup(app.BT(), cloud.C3XLarge, cloud.ZoneB, hist)
 	bids := []float64{0.1, 0.2, 0.4}
-	warm.Prewarm(bids)
+	warm := resetCache(cold)
+	warm.Prewarm(bids, nil)
+	// A session's residual profile: same history, a different horizon.
+	other := NewGroup(app.BT().Scale(0.4), cloud.C3XLarge, cloud.ZoneB, hist)
+	if other.T == cold.T {
+		t.Fatalf("precondition: both groups have T = %d, the shared source proves nothing", cold.T)
+	}
+	type swept struct {
+		p     *failure.Passage
+		price float64
+	}
+	shared := map[float64]swept{}
+	src := func(bid float64) (*failure.Passage, float64) {
+		s, ok := shared[bid]
+		if !ok {
+			s = swept{failure.NewPassage(hist, bid), failure.ExpectedSpotPrice(hist, bid)}
+			shared[bid] = s
+		}
+		return s.p, s.price
+	}
+	other.Prewarm(bids, src)
+	sourced := resetCache(cold)
+	sourced.Prewarm(bids, src)
 	for _, bid := range bids {
-		if a, b := cold.ExpectedPrice(bid), warm.ExpectedPrice(bid); a != b {
-			t.Errorf("ExpectedPrice(%v): cold %v warm %v", bid, a, b)
-		}
-		if a, b := cold.MTTF(bid), warm.MTTF(bid); a != b {
-			t.Errorf("MTTF(%v): cold %v warm %v", bid, a, b)
-		}
-		a, b := cold.Dist(bid), warm.Dist(bid)
-		if a.Complete() != b.Complete() || math.Abs(a.Survival(1)-b.Survival(1)) > 0 {
-			t.Errorf("Dist(%v) diverged", bid)
+		for name, g := range map[string]*Group{"warm": warm, "sourced": sourced} {
+			if a, b := cold.ExpectedPrice(bid), g.ExpectedPrice(bid); a != b {
+				t.Errorf("ExpectedPrice(%v): cold %v %s %v", bid, a, name, b)
+			}
+			if a, b := cold.MTTF(bid), g.MTTF(bid); math.Float64bits(a) != math.Float64bits(b) {
+				t.Errorf("MTTF(%v): cold %v %s %v", bid, a, name, b)
+			}
+			a, b := cold.Dist(bid), g.Dist(bid)
+			if a.T != b.T || len(a.P) != len(b.P) {
+				t.Fatalf("Dist(%v): cold T %d, %s T %d", bid, a.T, name, b.T)
+			}
+			for i := range a.P {
+				if math.Float64bits(a.P[i]) != math.Float64bits(b.P[i]) {
+					t.Errorf("Dist(%v).P[%d]: cold %v %s %v", bid, i, a.P[i], name, b.P[i])
+				}
+			}
 		}
 	}
 }

@@ -92,14 +92,23 @@ func NewGroup(p app.Profile, it cloud.InstanceType, zone string, hist *trace.Tra
 	}
 }
 
+// PassageSource supplies the profile-independent half of a group's
+// per-bid caches — the history's first-passage sweep and expected spot
+// price at one bid — so groups sized for different profiles on the same
+// history can share one sweep. It must answer exactly what
+// failure.NewPassage and failure.ExpectedSpotPrice give over the group's
+// Hist.
+type PassageSource func(bid float64) (*failure.Passage, float64)
+
 // Prewarm derives and publishes the failure distribution, expected price
-// and MTTF for every bid in bids. After it returns, lookups for those
-// bids are lock-free; bids outside the warmed set fall back to the
-// mutex-protected cold cache. Prewarm is intended for the optimizer's
+// and MTTF for every bid in bids, taking each bid's sweep and price from
+// src, or sweeping Hist itself when src is nil. After it returns, lookups
+// for those bids are lock-free; bids outside the warmed set fall back to
+// the mutex-protected cold cache. Prewarm is intended for the optimizer's
 // single-threaded prepare phase (warming the whole bid grid before the
 // parallel search starts); concurrent Prewarm calls are safe but each
 // snapshot supersedes the last, so racing warms may recompute work.
-func (g *Group) Prewarm(bids []float64) {
+func (g *Group) Prewarm(bids []float64, src PassageSource) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	w := newGroupCaches(len(bids))
@@ -119,8 +128,13 @@ func (g *Group) Prewarm(bids []float64) {
 		if _, ok := w.dist[bid]; ok {
 			continue
 		}
-		w.dist[bid], w.mttf[bid] = failure.EstimateWithMTTF(g.Hist, bid, g.T)
-		w.price[bid] = failure.ExpectedSpotPrice(g.Hist, bid)
+		var p *failure.Passage
+		if src != nil {
+			p, w.price[bid] = src(bid)
+		} else {
+			p, w.price[bid] = failure.NewPassage(g.Hist, bid), failure.ExpectedSpotPrice(g.Hist, bid)
+		}
+		w.dist[bid], w.mttf[bid] = p.Dist(g.T), p.MTTF()
 	}
 	g.warm.Store(&w)
 }

@@ -395,7 +395,9 @@ func OptimizeContext(ctx context.Context, cfg Config, opts ...Option) (Result, e
 	// Prewarm publishes each group's per-bid caches for the whole grid
 	// while still single-threaded, so the parallel search below only ever
 	// takes the lock-free read path. Cache hits arrive with all of that
-	// already done; fresh derivations are registered for the next
+	// already done; a miss still takes each bid's first-passage sweep from
+	// the cache's per-shard passage tier, which every profile on the same
+	// window shares, and fresh derivations are registered for the next
 	// optimization.
 	sc.begin("bid_grid")
 	prepared := make([][]*model.PreparedGroup, len(groups))
@@ -409,7 +411,11 @@ func OptimizeContext(ctx context.Context, cfg Config, opts ...Option) (Result, e
 			continue
 		}
 		grid := BidGrid(g, cfg.GridLevels)
-		g.Prewarm(grid)
+		var src model.PassageSource
+		if rb != nil {
+			src = rb.passages(g.Key, g.Hist)
+		}
+		g.Prewarm(grid, src)
 		minSpot[i] = math.Inf(1)
 		for _, bid := range grid {
 			interval := float64(g.T)

@@ -3,9 +3,12 @@ package opt
 import (
 	"math"
 	"sync"
+	"sync/atomic"
 
 	"sompi/internal/cloud"
+	"sompi/internal/failure"
 	"sompi/internal/model"
+	"sompi/internal/trace"
 )
 
 // ReuseCache carries prepared-group state across optimizations of the
@@ -20,12 +23,23 @@ import (
 // ticked and eleven did not, that skips eleven twelfths of the
 // Prewarm/Prepare work and the ranking evaluations of the eleven.
 //
-// That is all it holds: one slot per (shard, profile), overwritten when
-// the shard's state moves, so the cache is bounded by the market and not
-// by how many optimizations ran. The κ-subset search itself is never
-// memoized — a leaf is ~0.2 µs (the ledger's opt.ns_per_eval), and even
-// at ~1.8 µs a cross-optimization leaf memo measured slower end to end
-// than re-evaluating (DESIGN §6).
+// Below the group tier sits a passage tier. A group that misses — its
+// profile's T moved, as a session's residual does every window — still
+// shares its history with every other profile's group on that shard, and
+// the history's first-passage sweep and expected spot price per bid
+// (failure.Passage, failure.ExpectedSpotPrice) depend on nothing else.
+// The tier holds one slot per shard, keyed on (shard version, window
+// bounds) like the group tier, with one sweep and price per bid, so
+// profiles that miss the group tier on the same window share one sweep
+// per (shard, bid) instead of one each.
+//
+// That is all it holds: one group slot per (shard, profile) and one
+// passage slot per shard, each overwritten when the shard's state moves,
+// so the cache is bounded by the market (shards × profiles groups,
+// shards × grid levels sweeps) and not by how many optimizations ran.
+// The κ-subset search itself is never memoized — a leaf is ~0.2 µs (the
+// ledger's opt.ns_per_eval), and even at ~1.8 µs a cross-optimization
+// leaf memo measured slower end to end than re-evaluating (DESIGN §6).
 //
 // Reuse never changes the returned plan: a cache hit substitutes values
 // that are bit-identical to what a cold computation would produce (the
@@ -33,16 +47,24 @@ import (
 // It does change Result.Evals — ranking evaluations the standalone memo
 // answered are reported in Result.SavedEvals instead.
 //
-// A ReuseCache is safe for concurrent use by multiple optimizations.
+// A ReuseCache is safe for concurrent use by multiple optimizations. Its
+// mutex is a leaf lock: nothing is derived while it is held.
 type ReuseCache struct {
-	mu     sync.Mutex
-	groups map[groupSlot]*reuseEntry
+	mu       sync.Mutex
+	groups   map[groupSlot]*reuseEntry
+	passages map[cloud.MarketKey]*passageSlot
+	// sweeps counts the passages the tier derived, for tests to hold it
+	// to one per (shard window, bid).
+	sweeps atomic.Int64
 }
 
 // NewReuseCache returns an empty cache, ready to be shared across
 // optimizations (Config.Reuse).
 func NewReuseCache() *ReuseCache {
-	return &ReuseCache{groups: make(map[groupSlot]*reuseEntry)}
+	return &ReuseCache{
+		groups:   make(map[groupSlot]*reuseEntry),
+		passages: make(map[cloud.MarketKey]*passageSlot),
+	}
 }
 
 // groupSlot names one cached candidate: the market shard and the
@@ -54,15 +76,22 @@ type groupSlot struct {
 }
 
 // groupState fingerprints everything a candidate group's prepared state
-// depends on. Float parameters are stored as bits so comparison is
-// exact equality, never tolerance.
+// depends on: its shard's history and the group's own parameters. Float
+// parameters are stored as bits so comparison is exact equality, never
+// tolerance.
 type groupState struct {
+	history       historyState
+	m, t          int
+	o, r          uint64
+	gridLevels    int
+	noCheckpoints bool
+}
+
+// historyState fingerprints a shard's training history — its version
+// and the window bounds — which is all a passage depends on.
+type historyState struct {
 	version          uint64
 	winStart, winDur uint64
-	m, t             int
-	o, r             uint64
-	gridLevels       int
-	noCheckpoints    bool
 }
 
 // odKey fingerprints the on-demand fleet an evaluation was scored
@@ -133,6 +162,48 @@ func (c *ReuseCache) putStandalone(e *reuseEntry, k odKey, cost float64) {
 	e.standalone[k] = cost
 }
 
+// passageSlot is one shard's passage tier at one history state: the
+// sweep and expected spot price per bid (keyed by its bits).
+type passageSlot struct {
+	state historyState
+	bids  map[uint64]sweep
+}
+
+type sweep struct {
+	p     *failure.Passage
+	price float64
+}
+
+// lookupPassage returns the shard's sweep at bid if its slot is at st.
+func (c *ReuseCache) lookupPassage(key cloud.MarketKey, st historyState, bid uint64) (sweep, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	slot, ok := c.passages[key]
+	if !ok || slot.state != st {
+		return sweep{}, false
+	}
+	sw, ok := slot.bids[bid]
+	return sw, ok
+}
+
+// storePassage registers a sweep derived outside the lock, replacing the
+// shard's slot when its state moved. A racing derivation of the same
+// sweep is identical by construction; the first stored wins.
+func (c *ReuseCache) storePassage(key cloud.MarketKey, st historyState, bid uint64, sw sweep) sweep {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	slot, ok := c.passages[key]
+	if !ok || slot.state != st {
+		slot = &passageSlot{state: st, bids: make(map[uint64]sweep)}
+		c.passages[key] = slot
+	}
+	if cur, ok := slot.bids[bid]; ok {
+		return cur
+	}
+	slot.bids[bid] = sw
+	return sw
+}
+
 // reuseBinding is the per-optimization view of the cache: resolved once
 // at the start of OptimizeContext from the market's window bounds and
 // version vector. nil when reuse is disabled or the view cannot state
@@ -168,12 +239,32 @@ func bindReuse(cfg Config) *reuseBinding {
 	}
 }
 
+// passages is the passage tier for one group under this binding: each
+// bid's sweep of hist comes from the shard's slot, derived outside the
+// cache lock on a miss.
+func (b *reuseBinding) passages(key cloud.MarketKey, hist *trace.Trace) model.PassageSource {
+	st := b.historyOf(key)
+	return func(bid float64) (*failure.Passage, float64) {
+		bits := math.Float64bits(bid)
+		sw, ok := b.cache.lookupPassage(key, st, bits)
+		if !ok {
+			b.cache.sweeps.Add(1)
+			sw = b.cache.storePassage(key, st, bits,
+				sweep{failure.NewPassage(hist, bid), failure.ExpectedSpotPrice(hist, bid)})
+		}
+		return sw.p, sw.price
+	}
+}
+
+// historyOf fingerprints a shard's history under this binding.
+func (b *reuseBinding) historyOf(key cloud.MarketKey) historyState {
+	return historyState{version: b.vv[key], winStart: b.winStart, winDur: b.winDur}
+}
+
 // stateFor fingerprints a freshly built group under this binding.
 func (b *reuseBinding) stateFor(cfg Config, key cloud.MarketKey, g *model.Group) groupState {
 	return groupState{
-		version:       b.vv[key],
-		winStart:      b.winStart,
-		winDur:        b.winDur,
+		history:       b.historyOf(key),
 		m:             g.M,
 		t:             g.T,
 		o:             math.Float64bits(g.O),

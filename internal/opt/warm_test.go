@@ -285,7 +285,9 @@ func TestSerialCountersDeterministic(t *testing.T) {
 
 // TestConcurrentWarmReoptsShareCache: many concurrent warm-started
 // re-optimizations sharing one MarketView and one ReuseCache — the
-// serve layer's T_m-boundary regime — must all return the reference
+// serve layer's T_m-boundary regime, sessions at four different residual
+// progresses, two of each, so both the group tier and the passage tier
+// are filled and read concurrently — must all return their reference
 // plan. Run under -race this also proves the cache's synchronization.
 func TestConcurrentWarmReoptsShareCache(t *testing.T) {
 	ctx := context.Background()
@@ -305,12 +307,16 @@ func TestConcurrentWarmReoptsShareCache(t *testing.T) {
 	}
 	shared := m.Snapshot()
 
-	refCfg := Config{Profile: p, Market: shared, Deadline: deadline, Workers: 1}
-	ref, err := OptimizeContext(ctx, refCfg)
-	if err != nil {
-		t.Fatal(err)
+	refCfgs := make([]Config, 8)
+	want := make([]string, len(refCfgs))
+	for i := range refCfgs {
+		refCfgs[i] = Config{Profile: p.Scale(1 - 0.1*float64(i%4)), Market: shared, Deadline: deadline, Workers: 1}
+		ref, err := OptimizeContext(ctx, refCfgs[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = fingerprint(ref)
 	}
-	want := fingerprint(ref)
 
 	var wg sync.WaitGroup
 	errs := make(chan error, 8)
@@ -319,7 +325,7 @@ func TestConcurrentWarmReoptsShareCache(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			cfg := refCfg
+			cfg := refCfgs[i]
 			cfg.Reuse = cache
 			cfg.Workers = 2
 			if hint, ok := WarmBound(cfg, res0.Plan); ok {
@@ -339,8 +345,8 @@ func TestConcurrentWarmReoptsShareCache(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, got := range plans {
-		if got != want {
-			t.Fatalf("concurrent re-opt %d diverged:\n%s\nvs\n%s", i, got, want)
+		if got != want[i] {
+			t.Fatalf("concurrent re-opt %d diverged:\n%s\nvs\n%s", i, got, want[i])
 		}
 	}
 }

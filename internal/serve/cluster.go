@@ -148,9 +148,10 @@ type clusterNode struct {
 	dead     map[string]bool
 	seenUp   map[string]bool // peers seen healthy at least once (arms failover)
 	promoted []string
-	// staged holds each peer's replicated session states (latest Seq
-	// wins) — the warm standby a promotion registers.
-	staged map[string]map[string]sessionState
+	// staged holds each peer's replicated session states, every record
+	// folded in (sessionState.fold) — the warm standby a promotion
+	// registers.
+	staged map[string]map[string]*sessionState
 
 	stopOnce sync.Once
 	stopCh   chan struct{}
@@ -182,7 +183,7 @@ func (s *Server) initCluster(cfg ClusterConfig) error {
 		followers:      make(map[string]*cluster.Follower),
 		dead:           make(map[string]bool),
 		seenUp:         make(map[string]bool),
-		staged:         make(map[string]map[string]sessionState),
+		staged:         make(map[string]map[string]*sessionState),
 		stopCh:         make(chan struct{}),
 	}
 	if c.probeInterval <= 0 {
@@ -301,12 +302,11 @@ func (c *clusterNode) applyReplicated(peer string, rec store.Record) error {
 		c.s.sched.shardAdvanced(key)
 		return nil
 	case store.RecordSession:
-		var st sessionState
-		if err := json.Unmarshal(rec.Payload, &st); err != nil {
-			return fmt.Errorf("decoding replicated session record: %w", err)
+		st, err := decodeSessionRecord(rec.Payload)
+		if err != nil {
+			return err
 		}
-		c.stageSession(peer, st)
-		return nil
+		return c.stageSession(peer, st)
 	default:
 		return nil // newer record kinds ship through untouched
 	}
@@ -324,7 +324,9 @@ func (c *clusterNode) applyPeerSnapshot(peer string, payload []byte) error {
 		return err
 	}
 	for _, st := range snap.Sessions {
-		c.stageSession(peer, st)
+		if err := c.stageSession(peer, st); err != nil {
+			return err
+		}
 	}
 	for _, ms := range snap.Market {
 		c.s.sched.shardAdvanced(cloud.MarketKey{Type: ms.Type, Zone: ms.Zone})
@@ -332,18 +334,18 @@ func (c *clusterNode) applyPeerSnapshot(peer string, payload []byte) error {
 	return nil
 }
 
-// stageSession keeps a peer session's highest-Seq state.
-func (c *clusterNode) stageSession(peer string, st sessionState) {
+// stageSession folds one replicated record into the peer session's
+// staged state, by the rule recovery replays with.
+func (c *clusterNode) stageSession(peer string, rec sessionState) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	m := c.staged[peer]
 	if m == nil {
-		m = make(map[string]sessionState)
+		m = make(map[string]*sessionState)
 		c.staged[peer] = m
 	}
-	if prev, ok := m[st.ID]; !ok || st.Seq > prev.Seq {
-		m[st.ID] = st
-	}
+	_, err := foldInto(m, rec)
+	return err
 }
 
 // --- ownership and routing ---
@@ -710,7 +712,7 @@ func (c *clusterNode) promote(peer cluster.Node) {
 			s.mu.Unlock()
 			continue
 		}
-		t, err := s.materializeSession(st)
+		t, err := s.materializeSession(*st)
 		if err != nil {
 			s.mu.Unlock()
 			s.log.Error("adopting replicated session failed", "session", id, "error", err.Error())

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"time"
 
@@ -24,14 +25,17 @@ import (
 // Store every path here is a no-op and the service is pure in-memory,
 // exactly as before durability existed.
 
-// sessionState is one tracked session's full durable state: the
-// RecordSession WAL payload and the per-session unit of a snapshot.
-// Transitions are logged as full state, not deltas — a session mutates
-// only at window boundaries and the audit log is bounded, so the record
-// stays small, and recovery becomes "apply the highest Seq per ID"
-// with no re-optimization (replaying the optimizer would have to
-// reproduce its exact inputs; replaying its recorded outputs is exact
-// by construction).
+// sessionState is one tracked session's durable state: the RecordSession
+// WAL payload and the per-session unit of a snapshot. Every scalar is
+// logged whole at every transition — recovery needs no re-optimization
+// (replaying the optimizer would have to reproduce its exact inputs;
+// replaying its recorded outputs is exact by construction). The audit
+// log is the one part that only grows, so it travels in two forms: a
+// snapshot carries the retained log in Audit, while a WAL record carries
+// only AuditTail, the audit records no earlier record logged, and fold
+// appends them. A session's k-th record therefore costs the same as its
+// first, not O(k). Records written before the tail form carry Audit and
+// no AuditN, and fold still reads them.
 type sessionState struct {
 	// Seq is the session's transition counter: 1 at registration, +1 per
 	// persisted transition. Replay applies a record only when its Seq
@@ -64,12 +68,106 @@ type sessionState struct {
 	TrainStart float64     `json:"train_start_hours"`
 	TrainDur   float64     `json:"train_dur_hours"`
 
-	Boundary    float64       `json:"boundary_hours"`
-	PlanVersion uint64        `json:"plan_version"`
-	PlanCost    float64       `json:"plan_cost"`
-	Reopts      int           `json:"reoptimized"`
-	Done        bool          `json:"done"`
-	Audit       []AuditRecord `json:"audit,omitempty"`
+	Boundary    float64 `json:"boundary_hours"`
+	PlanVersion uint64  `json:"plan_version"`
+	PlanCost    float64 `json:"plan_cost"`
+	Reopts      int     `json:"reoptimized"`
+	Done        bool    `json:"done"`
+	// Audit is the retained audit log (the newest maxAuditRecords):
+	// the full form, written by snapshots. AuditN counts audit records
+	// ever appended, so the retained log holds records AuditN−len(Audit)
+	// onward; AuditTail is the WAL form — the newest records only,
+	// ending at record AuditN.
+	Audit     []AuditRecord `json:"audit,omitempty"`
+	AuditN    uint64        `json:"audit_n,omitempty"`
+	AuditTail []AuditRecord `json:"audit_tail,omitempty"`
+}
+
+// errCorruptSessionRecord is the typed failure of a session record that
+// does not decode, or does not fold onto the state held for its session
+// (an audit tail that cannot continue it). Recovery fails closed on it.
+var errCorruptSessionRecord = errors.New("serve: corrupt session record")
+
+// decodeSessionRecord parses one session record payload — a WAL record
+// or one session of a snapshot is the same document.
+func decodeSessionRecord(payload []byte) (sessionState, error) {
+	var st sessionState
+	if err := json.Unmarshal(payload, &st); err != nil {
+		return sessionState{}, fmt.Errorf("%w: %v", errCorruptSessionRecord, err)
+	}
+	return st, nil
+}
+
+// fold applies one record of a session to the state held for it — the
+// one rule recovery's replay and a follower's staging share. A record
+// whose Seq is not above the held one is a replay of what the state
+// already reflects (records straddling a snapshot) and is skipped. A
+// full-form record (Audit set, or no AuditN at all — every record before
+// the tail form) replaces the state. A tail-form record replaces every
+// scalar and appends the tail records the held log has not seen yet —
+// the tail may overlap the held log (an append that failed, or the re-log
+// after a restart), never leave a gap unless it is a whole retained log
+// by itself — then keeps the newest maxAuditRecords. On error the held
+// state is untouched.
+func (st *sessionState) fold(rec sessionState) error {
+	if rec.Seq <= st.Seq {
+		return nil
+	}
+	tail := rec.AuditTail
+	switch {
+	case len(tail) > 0 && rec.Audit != nil:
+		return fmt.Errorf("%w: session %s seq %d carries both an audit log and a tail", errCorruptSessionRecord, rec.ID, rec.Seq)
+	case uint64(len(tail)) > rec.AuditN || len(tail) > maxAuditRecords:
+		return fmt.Errorf("%w: session %s seq %d: audit tail of %d records ending at record %d",
+			errCorruptSessionRecord, rec.ID, rec.Seq, len(tail), rec.AuditN)
+	}
+	if rec.Audit != nil || rec.AuditN == 0 {
+		if rec.AuditN == 0 {
+			rec.AuditN = uint64(len(rec.Audit))
+		}
+		if want := min(rec.AuditN, maxAuditRecords); uint64(len(rec.Audit)) != want {
+			return fmt.Errorf("%w: session %s seq %d: audit log of %d records, want %d of %d",
+				errCorruptSessionRecord, rec.ID, rec.Seq, len(rec.Audit), want, rec.AuditN)
+		}
+		*st = rec
+		return nil
+	}
+	start := rec.AuditN - uint64(len(tail))
+	switch {
+	case rec.AuditN < st.AuditN:
+		return fmt.Errorf("%w: session %s seq %d: audit count %d below the %d already held",
+			errCorruptSessionRecord, rec.ID, rec.Seq, rec.AuditN, st.AuditN)
+	case start > st.AuditN && len(tail) < maxAuditRecords:
+		return fmt.Errorf("%w: session %s seq %d: audit tail starts at record %d, past the %d held",
+			errCorruptSessionRecord, rec.ID, rec.Seq, start, st.AuditN)
+	}
+	if start < st.AuditN {
+		tail = tail[st.AuditN-start:]
+	}
+	// Clipped, so the append never writes into an array another copy of
+	// the held state still reads.
+	audit := append(st.Audit[:len(st.Audit):len(st.Audit)], tail...)
+	if len(audit) > maxAuditRecords {
+		audit = audit[len(audit)-maxAuditRecords:]
+	}
+	rec.Audit, rec.AuditTail = audit, nil
+	*st = rec
+	return nil
+}
+
+// foldInto folds rec into the state m holds for its session, starting
+// from nothing on the session's first record, and reports whether this
+// record was that first one.
+func foldInto(m map[string]*sessionState, rec sessionState) (first bool, err error) {
+	st, ok := m[rec.ID]
+	if !ok {
+		st = &sessionState{}
+	}
+	if err := st.fold(rec); err != nil {
+		return false, err
+	}
+	m[rec.ID] = st
+	return !ok, nil
 }
 
 // snapshotPayload is the full service state materialized into one
@@ -79,14 +177,11 @@ type snapshotPayload struct {
 	Sessions []sessionState     `json:"sessions"`
 }
 
-// state renders the session's durable state. Caller holds t.mu (or owns
-// the session exclusively, as registration and recovery do).
+// state renders the session's durable state with neither audit form;
+// the snapshot capture adds the log, persistSession the tail. Caller
+// holds t.mu (or owns the session exclusively, as registration and
+// recovery do).
 func (t *trackedSession) state() sessionState {
-	var audit []AuditRecord
-	if len(t.audit) > 0 {
-		audit = make([]AuditRecord, len(t.audit))
-		copy(audit, t.audit)
-	}
 	return sessionState{
 		Seq:           t.seq,
 		ID:            t.id,
@@ -110,7 +205,7 @@ func (t *trackedSession) state() sessionState {
 		PlanCost:      t.planCost,
 		Reopts:        t.reopts,
 		Done:          t.done,
-		Audit:         audit,
+		AuditN:        t.auditN,
 	}
 }
 
@@ -139,6 +234,9 @@ func (s *Server) persistTickBatch(key cloud.MarketKey, ticks [][]float64, firstV
 		}
 		s.met.walAppendErrors.Add(failed)
 	}
+	for _, rec := range recs[:n] {
+		s.met.walTickBytes.Add(int64(len(rec.Payload)))
+	}
 	return n, err
 }
 
@@ -153,20 +251,30 @@ func (s *Server) persistTickBatch(key cloud.MarketKey, ticks [][]float64, firstV
 // record); window transitions cannot be — the in-memory transition has
 // already happened and an append failure cannot unwind it — so their
 // callers rely on the logging and error counter here.
+//
+// The record carries the audit records no earlier record logged, and
+// only an append that succeeded marks them logged, so a failed append's
+// records ride the next one.
 func (s *Server) persistSession(t *trackedSession) error {
 	if s.store == nil {
 		return nil
 	}
 	t.seq++
-	body, err := json.Marshal(t.state())
+	st := t.state()
+	fresh := min(t.auditN-t.auditLogged, uint64(len(t.audit)))
+	st.AuditTail = t.audit[uint64(len(t.audit))-fresh:]
+	body, err := json.Marshal(st)
 	if err == nil {
 		err = s.store.Append(store.Record{Type: store.RecordSession, Payload: body})
 	}
 	if err != nil {
 		s.met.walAppendErrors.Add(1)
 		s.log.Error("session transition not persisted", "session", t.id, "seq", t.seq, "error", err.Error())
+		return err
 	}
-	return err
+	t.auditLogged = t.auditN
+	s.met.walSessionBytes.Add(int64(len(body)))
+	return nil
 }
 
 // maybeSnapshot arms a snapshot cut when enough records accumulated
@@ -214,8 +322,10 @@ func (s *Server) cutSnapshot() error {
 		for _, id := range s.order {
 			t := s.sessions[id]
 			t.mu.Lock()
-			payload.Sessions = append(payload.Sessions, t.state())
+			st := t.state()
+			st.Audit = slices.Clone(t.audit)
 			t.mu.Unlock()
+			payload.Sessions = append(payload.Sessions, st)
 		}
 		s.mu.RUnlock()
 		return json.Marshal(payload)
@@ -237,15 +347,12 @@ func (s *Server) recoverFromStore() error {
 	start := time.Now()
 	states := make(map[string]*sessionState)
 	var order []string
-	applySession := func(st sessionState) {
-		prev, ok := states[st.ID]
-		if ok && prev.Seq >= st.Seq {
-			return
+	applySession := func(rec sessionState) error {
+		first, err := foldInto(states, rec)
+		if first {
+			order = append(order, rec.ID)
 		}
-		if !ok {
-			order = append(order, st.ID)
-		}
-		states[st.ID] = &st
+		return err
 	}
 
 	err := s.store.Recover(
@@ -258,7 +365,9 @@ func (s *Server) recoverFromStore() error {
 				return err
 			}
 			for _, st := range snap.Sessions {
-				applySession(st)
+				if err := applySession(st); err != nil {
+					return err
+				}
 			}
 			return nil
 		},
@@ -271,12 +380,11 @@ func (s *Server) recoverFromStore() error {
 				}
 				return s.market.ApplyTick(cloud.MarketKey{Type: tick.Type, Zone: tick.Zone}, tick.Prices, tick.Version)
 			case store.RecordSession:
-				var st sessionState
-				if err := json.Unmarshal(rec.Payload, &st); err != nil {
-					return fmt.Errorf("decoding session record: %w", err)
+				st, err := decodeSessionRecord(rec.Payload)
+				if err != nil {
+					return err
 				}
-				applySession(st)
-				return nil
+				return applySession(st)
 			default:
 				// Unknown record types are skipped: a newer binary may add
 				// kinds this one does not know.
@@ -373,6 +481,11 @@ func (s *Server) materializeSession(st sessionState) (*trackedSession, error) {
 		done:        st.Done,
 		seq:         st.Seq,
 		audit:       st.Audit,
+		// auditLogged starts at zero: the session's next record re-logs
+		// the retained log once, so a WAL this state is new to — a
+		// promotion's, before its snapshot lands — continues it without
+		// a gap.
+		auditN: st.AuditN,
 	}
 	if !st.Done {
 		prof := profile

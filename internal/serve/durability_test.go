@@ -161,10 +161,10 @@ func assertRecoveredExactly(t *testing.T, s1, s2 *Server, url1, url2 string) {
 			t.Fatalf("session %s plan diverged:\npre:  %s\npost: %s", id, p1, p2)
 		}
 		if t1.boundary != t2.boundary || t1.planVersion != t2.planVersion ||
-			t1.planCost != t2.planCost || t1.done != t2.done || t1.seq != t2.seq {
-			t.Fatalf("session %s state diverged: boundary %v/%v version %d/%d cost %v/%v done %v/%v seq %d/%d",
+			t1.planCost != t2.planCost || t1.done != t2.done || t1.seq != t2.seq || t1.auditN != t2.auditN {
+			t.Fatalf("session %s state diverged: boundary %v/%v version %d/%d cost %v/%v done %v/%v seq %d/%d audit_n %d/%d",
 				id, t1.boundary, t2.boundary, t1.planVersion, t2.planVersion,
-				t1.planCost, t2.planCost, t1.done, t2.done, t1.seq, t2.seq)
+				t1.planCost, t2.planCost, t1.done, t2.done, t1.seq, t2.seq, t1.auditN, t2.auditN)
 		}
 	}
 	if s1.nextID != s2.nextID {

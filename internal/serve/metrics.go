@@ -102,6 +102,10 @@ type metrics struct {
 	walFsync            *obs.Histogram
 	walAppendErrors     atomic.Int64
 	recoverySecondsBits atomic.Uint64
+	// walTickBytes and walSessionBytes sum the payload bytes of the tick
+	// and session records that reached the WAL.
+	walTickBytes    atomic.Int64
+	walSessionBytes atomic.Int64
 	// windowTruncations counts session windows whose replay or training
 	// range reached before the retained head and was clamped — each one
 	// is a re-optimization that saw less (or wrong) history than asked.
@@ -408,6 +412,9 @@ func (m *metrics) render(w io.Writer, s renderSample) {
 	// stable family set regardless of deployment mode.
 	header(w, "sompid_wal_appended_records_total", "counter", "WAL records appended (ticks + session transitions).")
 	fmt.Fprintf(w, "sompid_wal_appended_records_total %d\n", wal.AppendedRecords)
+	header(w, "sompid_wal_appended_bytes_total", "counter", "Payload bytes of the WAL records appended, by record kind.")
+	fmt.Fprintf(w, "sompid_wal_appended_bytes_total{record=\"tick\"} %d\n", m.walTickBytes.Load())
+	fmt.Fprintf(w, "sompid_wal_appended_bytes_total{record=\"session\"} %d\n", m.walSessionBytes.Load())
 	header(w, "sompid_wal_append_errors_total", "counter", "WAL appends that failed (aborted ticks, lost session transitions).")
 	fmt.Fprintf(w, "sompid_wal_append_errors_total %d\n", m.walAppendErrors.Load())
 	header(w, "sompid_wal_fsync_seconds", "histogram", "WAL fsync latency in seconds.")

@@ -444,6 +444,9 @@ func TestExpositionFormat(t *testing.T) {
 		"# TYPE sompid_capture_skipped_total counter",
 		"# TYPE sompid_capture_append_seconds histogram",
 		"# TYPE sompid_capture_active_segment gauge",
+		"# TYPE sompid_wal_appended_bytes_total counter",
+		`sompid_wal_appended_bytes_total{record="tick"}`,
+		`sompid_wal_appended_bytes_total{record="session"}`,
 	} {
 		if !strings.Contains(text, want) {
 			t.Fatalf("/metrics missing %q", want)

@@ -81,8 +81,12 @@ type trackedSession struct {
 	reopts int
 	done   bool
 	// audit is the session's append-only decision log, oldest first,
-	// bounded at maxAuditRecords (oldest dropped beyond it).
-	audit []AuditRecord
+	// bounded at maxAuditRecords (oldest dropped beyond it). auditN
+	// counts the records ever appended and auditLogged how many of those
+	// a WAL record already carries; the next record logs the rest.
+	audit       []AuditRecord
+	auditN      uint64
+	auditLogged uint64
 }
 
 // maxAuditRecords bounds a session's audit log; a session re-optimizing
@@ -118,6 +122,7 @@ func (s *Server) recordAudit(t *trackedSession, trigger string, newPlan *model.P
 		t.audit = t.audit[1:]
 	}
 	t.audit = append(t.audit, rec)
+	t.auditN++
 }
 
 // info renders the session's observable state under the session's own
