@@ -69,8 +69,10 @@ cluster-smoke:
 # cluster's shipping-frame codec must fail typed on any byte stream and
 # re-encode every frame it decodes to the exact bytes it consumed; a
 # session record of any bytes folds onto a held session state into a
-# typed error or a well-formed state.
-# (go test -fuzz takes one target per invocation.)
+# typed error or a well-formed state; the durable session encoder writes
+# exactly json.Marshal's bytes for any audit record or session state, and
+# fails exactly when it fails.
+# (go test -fuzz takes one target per invocation; eight targets.)
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test ./internal/store -run '^$$' -fuzz 'FuzzDecodeRecord' -fuzztime $(FUZZTIME)
@@ -80,6 +82,7 @@ fuzz:
 	$(GO) test ./internal/serve -run '^$$' -fuzz 'FuzzEscapeLabel' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/cluster -run '^$$' -fuzz 'FuzzReadFrame' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/serve -run '^$$' -fuzz 'FuzzSessionFold' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/serve -run '^$$' -fuzz 'FuzzDurableEncode' -fuzztime $(FUZZTIME)
 
 # Same gates as running serve-smoke, tournament-smoke, replay-smoke and
 # cluster-smoke one by one; the three process smokes share one cmd/smoke

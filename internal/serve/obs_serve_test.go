@@ -447,6 +447,8 @@ func TestExpositionFormat(t *testing.T) {
 		"# TYPE sompid_wal_appended_bytes_total counter",
 		`sompid_wal_appended_bytes_total{record="tick"}`,
 		`sompid_wal_appended_bytes_total{record="session"}`,
+		"# TYPE sompid_snapshot_bytes gauge",
+		"\nsompid_snapshot_bytes 0\n",
 	} {
 		if !strings.Contains(text, want) {
 			t.Fatalf("/metrics missing %q", want)

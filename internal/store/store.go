@@ -529,7 +529,13 @@ func (s *Store) Snapshot(capture func() ([]byte, error)) error {
 	if err != nil {
 		return fmt.Errorf("store: creating snapshot temp: %w", err)
 	}
-	_, werr := f.Write(append(header(snapMagic), EncodeRecord(Record{Type: recordSnapshot, Payload: payload})...))
+	// The file is header ‖ EncodeRecord(snapshot record), written as the
+	// header and frame prefix, then the payload in place: a snapshot is
+	// megabytes, and framing it would copy it twice.
+	_, werr := f.Write(appendFrameHead(header(snapMagic), recordSnapshot, payload))
+	if werr == nil {
+		_, werr = f.Write(payload)
+	}
 	if werr == nil {
 		werr = f.Sync()
 	}

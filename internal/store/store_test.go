@@ -386,6 +386,44 @@ func TestSnapshotReplayAndCompaction(t *testing.T) {
 	s2.Close()
 }
 
+// TestSnapshotFileIsHeaderAndFrame pins the snapshot writer, which frames
+// the payload without copying it: the file is exactly the header and
+// EncodeRecord of the snapshot record, for an empty, a small and a
+// multi-MB payload, and Recover reads the payload back.
+func TestSnapshotFileIsHeaderAndFrame(t *testing.T) {
+	big := make([]byte, 3<<20)
+	for i := range big {
+		big[i] = byte(i*7 + i>>13)
+	}
+	for _, payload := range [][]byte{{}, []byte(`{"market":[],"sessions":[]}`), big} {
+		dir := t.TempDir()
+		s := mustOpen(t, dir, Options{})
+		mustRecover(t, s)
+		if err := s.Snapshot(func() ([]byte, error) { return payload, nil }); err != nil {
+			t.Fatalf("Snapshot: %v", err)
+		}
+		snaps, _ := filepath.Glob(filepath.Join(dir, "snap-*.snap"))
+		if len(snaps) != 1 {
+			t.Fatalf("%d snapshot files, want 1", len(snaps))
+		}
+		got, err := os.ReadFile(snaps[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := append(header(snapMagic), EncodeRecord(Record{Type: recordSnapshot, Payload: payload})...)
+		if !bytes.Equal(got, want) {
+			t.Fatalf("%d-byte payload: snapshot file of %d bytes is not header ‖ EncodeRecord (%d bytes)", len(payload), len(got), len(want))
+		}
+		s.Close()
+		s2 := mustOpen(t, dir, Options{})
+		snap, _ := mustRecover(t, s2)
+		s2.Close()
+		if !bytes.Equal(snap, payload) {
+			t.Fatalf("%d-byte payload recovered as %d bytes", len(payload), len(snap))
+		}
+	}
+}
+
 // A corrupt newest snapshot is fail-hard: the segments it covered may
 // already be compacted away, so recovering without it would be silent
 // data loss.
