@@ -1057,8 +1057,8 @@ func injectNodeLabel(line []byte, node string) []byte {
 // sessions in topology (node-name) order. Dead peers contribute
 // nothing directly — their adopted sessions already appear in the
 // promoting node's local list.
-func (c *clusterNode) mergeSessions(ctx context.Context, local []SessionInfo) []SessionInfo {
-	out := make([]SessionInfo, 0, len(local))
+func (c *clusterNode) mergeSessions(ctx context.Context, local []sessionListing) []sessionListing {
+	out := make([]sessionListing, 0, len(local))
 	for _, n := range c.topo.Nodes() {
 		if n.Name == c.selfName() {
 			out = append(out, local...)
@@ -1076,7 +1076,7 @@ func (c *clusterNode) mergeSessions(ctx context.Context, local []SessionInfo) []
 		if err != nil {
 			continue
 		}
-		var infos []SessionInfo
+		var infos []sessionListing
 		derr := json.NewDecoder(io.LimitReader(resp.Body, 8<<20)).Decode(&infos)
 		resp.Body.Close()
 		if derr != nil {
