@@ -7,17 +7,19 @@
 //	sompid [-addr :8377] [-seed 42] [-hours 720] [-traces DIR]
 //	       [-window 15] [-history 96] [-cache 256] [-timeout 60s]
 //	       [-retain 0] [-log-format text|ndjson] [-log-level info]
-//	       [-trace-ring 4096] [-data-dir DIR] [-fsync] [-snapshot-every 4096]
+//	       [-trace-ring 4096] [-data-dir DIR] [-fsync]
 //	       [-ingest-queue 1024] [-reopt-workers 4]
 //	       [-cluster-self a -cluster-node a=URL -cluster-node b=URL ...]
 //
 // The market is either synthesized (-seed/-hours) or loaded from a
 // cmd/tracegen CSV directory (-traces). With -data-dir, every ingested
 // tick and session transition is written to a checksummed WAL under DIR
-// before it is applied, periodic snapshots bound replay time, and a
-// restart recovers the exact pre-crash market and session state before
-// accepting traffic. Without -data-dir the service is purely in-memory,
-// exactly as before. The v1 API:
+// before it is applied, a snapshot is cut whenever the WAL written since
+// the last one outweighs both one segment and that snapshot (so
+// snapshots cost no more bytes than the log they retire, and replay
+// stays bounded), and a restart recovers the exact pre-crash market and
+// session state before accepting traffic. Without -data-dir the service
+// is purely in-memory, exactly as before. The v1 API:
 //
 //	POST /v1/plan        optimize a workload against the latest prices
 //	POST /v1/evaluate    cost-model an explicit plan
@@ -103,7 +105,6 @@ func main() {
 		traceRing  = flag.Int("trace-ring", 0, "span ring capacity for /debug/trace (0 = default 4096)")
 		dataDir    = flag.String("data-dir", "", "durability directory for the WAL + snapshots (empty = in-memory only)")
 		fsync      = flag.Bool("fsync", true, "fsync every WAL append (with -data-dir); off trades the tail since the last sync for latency")
-		snapEvery  = flag.Int("snapshot-every", 0, "cut a snapshot every N WAL appends (with -data-dir; 0 = default 4096)")
 		ingestQ    = flag.Int("ingest-queue", 0, "tick batches that may wait on one shard behind the batch being applied; one more answers 429 (0 = default 1024)")
 		reoptWork  = flag.Int("reopt-workers", 0, "session re-optimization worker pool size (0 = default 4)")
 		captureLog = flag.String("capture-log", "", "capture every v1 request to a segmented NDJSON log under this directory for cmd/sompi-replay (empty = capture off)")
@@ -181,7 +182,6 @@ func main() {
 		TraceRing:             *traceRing,
 		Logger:                logger,
 		Store:                 st,
-		SnapshotEvery:         *snapEvery,
 		IngestQueue:           *ingestQ,
 		ReoptWorkers:          *reoptWork,
 		CaptureLog:            *captureLog,
@@ -200,7 +200,7 @@ func main() {
 		"window", *window, "history", *history, "cache", *cache,
 		"timeout", timeout.String(), "retain", *retain,
 		"log_format", *logFormat, "log_level", *logLevel, "trace_ring", *traceRing,
-		"data_dir", *dataDir, "fsync", *fsync, "snapshot_every", *snapEvery,
+		"data_dir", *dataDir, "fsync", *fsync,
 		"ingest_queue", *ingestQ, "reopt_workers", *reoptWork,
 		"capture_log", *captureLog,
 		"cluster_self", *clusterSelf, "cluster_nodes", len(clusterNodes),

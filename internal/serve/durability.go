@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"strings"
 	"time"
@@ -312,17 +313,15 @@ func (t *trackedSession) appendState(b []byte, audit, tail []json.RawMessage) ([
 	return appendSession(b, &st, t.reqJSON, audit, tail)
 }
 
-// maybeSnapshot arms a snapshot cut when enough records accumulated
-// since the last one. The cut itself runs on a background goroutine —
-// one in flight at a time, re-armed when it lands — so no ingest
-// request ever pays for the WAL rotation fsyncs and the full-state
-// marshal in its response latency. Close drains snapWG before cutting
-// its own shutdown snapshot.
+// maybeSnapshot arms a snapshot cut when the store says one is due —
+// when the WAL appended since the last cut outweighs both one segment and
+// that cut (store.SnapshotDue). The cut itself runs on a background
+// goroutine — one in flight at a time, re-armed when it lands — so no
+// ingest request ever pays for the WAL rotation fsyncs and the full-state
+// encode in its response latency. Close drains snapWG before cutting its
+// own shutdown snapshot.
 func (s *Server) maybeSnapshot() {
-	if s.store == nil || s.snapshotEvery <= 0 {
-		return
-	}
-	if s.store.AppendsSinceSnapshot() < uint64(s.snapshotEvery) {
+	if s.store == nil || !s.store.SnapshotDue() {
 		return
 	}
 	if !s.snapping.CompareAndSwap(false, true) {
@@ -340,24 +339,42 @@ func (s *Server) maybeSnapshot() {
 	}()
 }
 
-// cutSnapshot materializes the full service state into a snapshot at a
-// fresh WAL segment boundary: the market section is json.Marshal's and
-// each session is appended around its audit log's encoded bytes, so the
-// document is byte-identical to marshaling a snapshotPayload. The store
-// rotates first and invokes the capture with no store lock held; the
-// capture's shard read locks and per-session t.mu acquisitions are the
-// barrier that makes the snapshot cover every record below the boundary
-// (see store.Snapshot): a tick or transition logged before the rotation
+// cutSnapshot streams the full service state into a snapshot at a fresh
+// WAL segment boundary, holding one shard's or one session's bytes at a
+// time: each shard is json.Marshal's and each session is appended around
+// its audit log's encoded bytes into one reused buffer, so the document
+// is byte-identical to marshaling a snapshotPayload. The store rotates
+// first and invokes the capture with no store lock held; the capture's
+// shard read locks and per-session t.mu acquisitions are the barrier
+// that makes the snapshot cover every record below the boundary (see
+// store.StreamSnapshot): a tick or transition logged before the rotation
 // was written under the same lock the capture takes, so the capture
 // cannot see a state the log has not reached.
 func (s *Server) cutSnapshot() error {
 	start := time.Now()
-	var size int
-	err := s.store.Snapshot(func() ([]byte, error) {
-		market, err := json.Marshal(s.market.ExportShards())
-		if err != nil {
-			return nil, err
+	err := s.store.StreamSnapshot(func(w io.Writer) error {
+		buf := []byte(`{"market":[`)
+		flush := func() error {
+			_, err := w.Write(buf)
+			buf = buf[:0]
+			return err
 		}
+		for i, shard := range s.market.ExportShards() {
+			if i > 0 {
+				buf = append(buf, ',')
+			}
+			b, err := json.Marshal(&shard)
+			if err != nil {
+				return err
+			}
+			if err := flush(); err != nil {
+				return err
+			}
+			if _, err := w.Write(b); err != nil {
+				return err
+			}
+		}
+		buf = append(buf, `],"sessions":[`...)
 		// Sessions are only ever added, so the list taken under s.mu is
 		// every session whose registration record precedes the boundary.
 		s.mu.RLock()
@@ -366,29 +383,24 @@ func (s *Server) cutSnapshot() error {
 			sessions[i] = s.sessions[id]
 		}
 		s.mu.RUnlock()
-		prev := int(s.met.snapshotBytes.Load())
-		b := make([]byte, 0, max(prev+prev/8, len(market)+64))
-		b = append(b, `{"market":`...)
-		b = append(b, market...)
-		b = append(b, `,"sessions":[`...)
 		for i, t := range sessions {
 			if i > 0 {
-				b = append(b, ',')
+				buf = append(buf, ',')
 			}
+			var err error
 			t.mu.Lock()
-			b, err = t.appendState(b, t.audit, nil)
+			buf, err = t.appendState(buf, t.audit, nil)
 			t.mu.Unlock()
+			if err == nil {
+				err = flush()
+			}
 			if err != nil {
-				return nil, err
+				return err
 			}
 		}
-		b = append(b, "]}"...)
-		size = len(b)
-		return b, nil
+		buf = append(buf, "]}"...)
+		return flush()
 	})
-	if err == nil {
-		s.met.snapshotBytes.Store(int64(size))
-	}
 	if s.col != nil {
 		stats := s.store.Stats()
 		s.col.RecordSpan("store.snapshot", start,

@@ -5,12 +5,14 @@ import (
 	"encoding/json"
 	"errors"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"reflect"
 	"regexp"
+	"runtime"
 	"strconv"
 	"testing"
 
@@ -26,13 +28,13 @@ func durableMarket() *cloud.Market {
 }
 
 // newDurable builds a durable server over dir and a test HTTP front.
-func newDurable(t *testing.T, dir string, opts store.Options, snapshotEvery int) (*Server, *httptest.Server) {
+func newDurable(t *testing.T, dir string, opts store.Options) (*Server, *httptest.Server) {
 	t.Helper()
 	st, err := store.Open(dir, opts)
 	if err != nil {
 		t.Fatalf("store.Open: %v", err)
 	}
-	s, err := New(Config{Market: durableMarket(), WindowHours: 2, Store: st, SnapshotEvery: snapshotEvery})
+	s, err := New(Config{Market: durableMarket(), WindowHours: 2, Store: st})
 	if err != nil {
 		t.Fatalf("serve.New: %v", err)
 	}
@@ -177,9 +179,9 @@ func assertRecoveredExactly(t *testing.T, s1, s2 *Server, url1, url2 string) {
 // the WAL alone restores the full state byte-identically.
 func TestCrashRecoveryExactness(t *testing.T) {
 	dir := t.TempDir()
-	// SnapshotEvery is set beyond the test's appends: recovery must work
-	// from pure WAL replay.
-	s1, ts1 := newDurable(t, dir, store.Options{}, 1<<20)
+	// The test appends far less than a segment, so no cut is due:
+	// recovery must work from pure WAL replay.
+	s1, ts1 := newDurable(t, dir, store.Options{})
 
 	durablePost(t, ts1.URL+"/v1/plan", trackedPlan())
 	ingestHours(t, ts1.URL, 2) // crosses the first window boundary: re-optimization
@@ -192,7 +194,7 @@ func TestCrashRecoveryExactness(t *testing.T) {
 	}
 
 	// "SIGKILL": the server and its store are simply abandoned.
-	s2, ts2 := newDurable(t, dir, store.Options{}, 1<<20)
+	s2, ts2 := newDurable(t, dir, store.Options{})
 	assertRecoveredExactly(t, s1, s2, ts1.URL, ts2.URL)
 
 	// The recovered server is live, not read-only: further ingestion
@@ -210,7 +212,9 @@ func TestCrashRecoveryExactness(t *testing.T) {
 // recovery = snapshot + tail replay.
 func TestCrashRecoveryWithSnapshots(t *testing.T) {
 	dir := t.TempDir()
-	s1, ts1 := newDurable(t, dir, store.Options{}, 1) // snapshot after every ingest request
+	// One-KiB segments: the first cut is due once a KiB of WAL is in.
+	opts := store.Options{SegmentBytes: 1 << 10}
+	s1, ts1 := newDurable(t, dir, opts)
 
 	durablePost(t, ts1.URL+"/v1/plan", trackedPlan())
 	ingestHours(t, ts1.URL, 2)
@@ -228,7 +232,7 @@ func TestCrashRecoveryWithSnapshots(t *testing.T) {
 	// store opens the same directory.
 	s1.snapWG.Wait()
 
-	s2, ts2 := newDurable(t, dir, store.Options{}, 1)
+	s2, ts2 := newDurable(t, dir, opts)
 	if s2.store.Stats().SnapshotSeq == 0 {
 		t.Fatal("recovery did not start from a snapshot")
 	}
@@ -241,7 +245,7 @@ func TestCrashRecoveryWithSnapshots(t *testing.T) {
 // and a pure in-memory twin produce identical plans and sessions.
 func TestDurableTwinMatchesInMemory(t *testing.T) {
 	dir := t.TempDir()
-	_, durableTS := newDurable(t, dir, store.Options{}, 1<<20)
+	_, durableTS := newDurable(t, dir, store.Options{})
 	mem, err := New(Config{Market: durableMarket(), WindowHours: 2})
 	if err != nil {
 		t.Fatalf("serve.New: %v", err)
@@ -269,7 +273,7 @@ func TestDurableTwinMatchesInMemory(t *testing.T) {
 // fsync is off.
 func TestCloseFlushesWAL(t *testing.T) {
 	dir := t.TempDir()
-	s1, ts1 := newDurable(t, dir, store.Options{Fsync: false}, 1<<20)
+	s1, ts1 := newDurable(t, dir, store.Options{Fsync: false})
 	durablePost(t, ts1.URL+"/v1/plan", trackedPlan())
 	ingestHours(t, ts1.URL, 2)
 
@@ -289,7 +293,7 @@ func TestCloseFlushesWAL(t *testing.T) {
 		t.Fatal("Close left no snapshot")
 	}
 
-	s2, ts2 := newDurable(t, dir, store.Options{Fsync: false}, 1<<20)
+	s2, ts2 := newDurable(t, dir, store.Options{Fsync: false})
 	assertRecoveredExactly(t, s1, s2, ts1.URL, ts2.URL)
 }
 
@@ -298,7 +302,7 @@ func TestCloseFlushesWAL(t *testing.T) {
 // publishes its duration, and the recovery span lands in /debug/trace.
 func TestWALMetricsAndRecoverySpan(t *testing.T) {
 	dir := t.TempDir()
-	_, ts1 := newDurable(t, dir, store.Options{Fsync: true}, 1<<20)
+	_, ts1 := newDurable(t, dir, store.Options{Fsync: true})
 	durablePost(t, ts1.URL+"/v1/prices", []PriceTick{{Type: "m1.medium", Zone: "us-east-1a", Prices: []float64{0.05}}})
 
 	mx := durableGet(t, ts1.URL+"/metrics")
@@ -313,7 +317,7 @@ func TestWALMetricsAndRecoverySpan(t *testing.T) {
 	}
 
 	// Restart: recovery replays the tick and publishes its duration.
-	s2, ts2 := newDurable(t, dir, store.Options{Fsync: true}, 1<<20)
+	s2, ts2 := newDurable(t, dir, store.Options{Fsync: true})
 	mx = durableGet(t, ts2.URL+"/metrics")
 	if v := promValue(t, mx, "sompid_recovery_seconds"); v <= 0 {
 		t.Fatalf("sompid_recovery_seconds = %v, want > 0 after a recovery", v)
@@ -348,7 +352,7 @@ func TestWALMetricsAndRecoverySpan(t *testing.T) {
 // cannot explain must keep the server from starting at all.
 func TestRecoveryFailsClosedOnCorruptStore(t *testing.T) {
 	dir := t.TempDir()
-	s1, ts1 := newDurable(t, dir, store.Options{}, 1)
+	s1, ts1 := newDurable(t, dir, store.Options{})
 	durablePost(t, ts1.URL+"/v1/plan", trackedPlan())
 	ingestHours(t, ts1.URL, 2)
 	if err := s1.Close(); err != nil {
@@ -375,7 +379,7 @@ func TestRecoveryFailsClosedOnCorruptStore(t *testing.T) {
 // failure also surfaces as a degraded /healthz, not just a counter.
 func TestRegistrationFailClosed(t *testing.T) {
 	dir := t.TempDir()
-	s, ts := newDurable(t, dir, store.Options{}, 1<<20)
+	s, ts := newDurable(t, dir, store.Options{})
 	// Close the store out from under the server: every append now fails.
 	if err := s.store.Close(); err != nil {
 		t.Fatal(err)
@@ -422,5 +426,65 @@ func corruptFile(t *testing.T, path string) {
 	data[len(data)/2] ^= 0xFF
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestCutSnapshotAllocsIndependentOfSessions counts what a snapshot cut
+// allocates rather than timing it (DESIGN §16 D12): the cut streams each
+// session through one reused buffer, so quadrupling the sessions section
+// adds a small per-session cost (72 bytes on go1.24), not the section's
+// bytes (about 55 KB a session here), which a cut building the payload
+// whole allocates.
+func TestCutSnapshotAllocsIndependentOfSessions(t *testing.T) {
+	if raceEnabled {
+		t.Skip("counts allocations, which -race makes random: sync.Pool then drops a quarter of what it is given")
+	}
+	s, ts := newDurable(t, t.TempDir(), store.Options{})
+	register := func(n int) {
+		for range n {
+			durablePost(t, ts.URL+"/v1/plan", trackedPlan())
+		}
+		s.mu.RLock()
+		defer s.mu.RUnlock()
+		for _, sess := range s.sessions {
+			sess.mu.Lock()
+			for sess.auditN < 64 {
+				s.recordAudit(sess, "reoptimized", &sess.plan, sess.planCost, nil)
+			}
+			sess.mu.Unlock()
+		}
+	}
+	// cut reports the fewest bytes one of five cuts allocated, and the
+	// payload it wrote. No GC is forced between them: a GC empties
+	// encoding/json's buffer pool, and refilling it costs a cut a
+	// shard's worth of bytes no matter how many sessions there are.
+	cut := func() (alloc uint64, payload int64) {
+		alloc = math.MaxUint64
+		for range 5 {
+			var m0, m1 runtime.MemStats
+			runtime.ReadMemStats(&m0)
+			if err := s.cutSnapshot(); err != nil {
+				t.Fatal(err)
+			}
+			runtime.ReadMemStats(&m1)
+			alloc = min(alloc, m1.TotalAlloc-m0.TotalAlloc)
+		}
+		return alloc, s.store.Stats().SnapshotBytes
+	}
+	const n = 8
+	register(n)
+	allocN, sizeN := cut()
+	register(3 * n)
+	alloc4N, size4N := cut()
+	section := size4N - sizeN
+	grew := int64(alloc4N) - int64(allocN)
+	t.Logf("cut of %d sessions: %d bytes written, %d allocated; of %d: %d written, %d allocated; %d more section bytes, %d more allocated",
+		n, sizeN, allocN, 4*n, size4N, alloc4N, section, grew)
+	if section < 3*n*16<<10 {
+		t.Fatalf("precondition: the sessions section grew by %d bytes, want sessions of at least 16 KiB", section)
+	}
+	if grew > 3*n*1<<10 {
+		t.Fatalf("a cut of %d sessions allocates %d bytes more than one of %d: over 1 KiB per added session, for %d more section bytes",
+			4*n, grew, n, section)
 	}
 }

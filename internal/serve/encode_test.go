@@ -190,7 +190,7 @@ func TestRecoverLegacySnapshot(t *testing.T) {
 	fixture := filepath.Join("testdata", "legacy_snapshot")
 	wantSnap := snapFile(fixture)
 	dir := copyDataDir(t, fixture)
-	s1, ts1 := newDurable(t, dir, store.Options{}, 1<<20)
+	s1, ts1 := newDurable(t, dir, store.Options{})
 	if got := durableGet(t, ts1.URL+"/v1/sessions"); !bytes.Equal(got, want) {
 		t.Fatalf("/v1/sessions recovered from the legacy snapshot:\n%s\nthe writing binary served:\n%s", got, want)
 	}
@@ -205,7 +205,7 @@ func TestRecoverLegacySnapshot(t *testing.T) {
 	}
 	ingestHours(t, ts1.URL, 2)
 	ingestHours(t, ts1.URL, 2)
-	s2, ts2 := newDurable(t, dir, store.Options{}, 1<<20)
+	s2, ts2 := newDurable(t, dir, store.Options{})
 	assertRecoveredExactly(t, s1, s2, ts1.URL, ts2.URL)
 }
 
@@ -218,7 +218,7 @@ func TestRecoverLegacySnapshot(t *testing.T) {
 // session's records under its lock, shares no bytes a later audit
 // append or a log trim writes.
 func TestSessionListingBesideRegistrations(t *testing.T) {
-	_, ts := newDurable(t, t.TempDir(), store.Options{}, 1<<20)
+	_, ts := newDurable(t, t.TempDir(), store.Options{})
 	durablePost(t, ts.URL+"/v1/plan", trackedPlan())
 	ingestHours(t, ts.URL, 2)
 	done := make(chan struct{})
@@ -288,7 +288,7 @@ const headerAndFrame = 12 + 9
 // record allocates the same at window 2, at window 40 and with the log
 // at its bound — whatever the length of the log behind it.
 func TestPersistSessionAllocsIndependentOfWindows(t *testing.T) {
-	s, ts := newDurable(t, t.TempDir(), store.Options{}, 1<<20)
+	s, ts := newDurable(t, t.TempDir(), store.Options{})
 	req := trackedPlan()
 	req.App, req.DeadlineHours = "LAMMPS-32", 120
 	durablePost(t, ts.URL+"/v1/plan", req)
@@ -334,7 +334,7 @@ func TestPersistSessionAllocsIndependentOfWindows(t *testing.T) {
 // json.Marshal of the same state fails. Once maxAuditRecords newer
 // records push it out of the log, all three succeed again.
 func TestUnencodableAuditFailsLoudly(t *testing.T) {
-	s, ts := newDurable(t, t.TempDir(), store.Options{}, 1<<20)
+	s, ts := newDurable(t, t.TempDir(), store.Options{})
 	durablePost(t, ts.URL+"/v1/plan", trackedPlan())
 	ingestHours(t, ts.URL, 2)
 	s.mu.RLock()

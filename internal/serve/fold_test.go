@@ -298,7 +298,7 @@ func sessionAudit(s *Server, id string) (seq, auditN uint64, audit []AuditRecord
 // the log so far — read from sompid's own
 // sompid_wal_appended_bytes_total{record="session"}.
 func TestSessionRecordSizeIndependentOfWindows(t *testing.T) {
-	s, ts := newDurable(t, t.TempDir(), store.Options{}, 1<<20)
+	s, ts := newDurable(t, t.TempDir(), store.Options{})
 	const series = `sompid_wal_appended_bytes_total{record="session"}`
 	// A workload that keeps re-optimizing for all the windows below.
 	req := trackedPlan()
@@ -338,7 +338,7 @@ func TestSessionRecordSizeIndependentOfWindows(t *testing.T) {
 // recovery that must reproduce the live state).
 func TestRecoverEveryRecordPrefix(t *testing.T) {
 	dir := t.TempDir()
-	s1, ts1 := newDurable(t, dir, store.Options{}, 1<<20)
+	s1, ts1 := newDurable(t, dir, store.Options{})
 	durablePost(t, ts1.URL+"/v1/plan", trackedPlan())
 	for k := 0; k < 5; k++ {
 		ingestHours(t, ts1.URL, 2)
@@ -356,7 +356,7 @@ func TestRecoverEveryRecordPrefix(t *testing.T) {
 		if err := os.Truncate(filepath.Join(prefix, rec.seg), rec.end); err != nil {
 			t.Fatal(err)
 		}
-		s2, ts2 := newDurable(t, prefix, store.Options{}, 1<<20)
+		s2, ts2 := newDurable(t, prefix, store.Options{})
 		seq, auditN, audit := sessionAudit(s2, "s1")
 		if seq != rec.state.Seq || auditN != rec.state.AuditN || len(audit) != int(auditN) ||
 			(auditN > 0 && !reflect.DeepEqual(audit, full[:auditN])) {
@@ -364,7 +364,7 @@ func TestRecoverEveryRecordPrefix(t *testing.T) {
 				i, seq, auditN, len(audit), rec.state.Seq, rec.state.AuditN, rec.state.AuditN)
 		}
 		ingestHours(t, ts2.URL, 2)
-		s3, ts3 := newDurable(t, prefix, store.Options{}, 1<<20)
+		s3, ts3 := newDurable(t, prefix, store.Options{})
 		assertRecoveredExactly(t, s2, s3, ts2.URL, ts3.URL)
 	}
 }
@@ -374,7 +374,7 @@ func TestRecoverEveryRecordPrefix(t *testing.T) {
 // next record carries it, so the WAL still folds to the whole log.
 func TestFailedAppendRecordsRideTheNext(t *testing.T) {
 	dir := t.TempDir()
-	s, ts := newDurable(t, dir, store.Options{}, 1<<20)
+	s, ts := newDurable(t, dir, store.Options{})
 	durablePost(t, ts.URL+"/v1/plan", trackedPlan())
 	ingestHours(t, ts.URL, 2)
 
@@ -426,7 +426,7 @@ func TestFailedAppendRecordsRideTheNext(t *testing.T) {
 // that WAL alone folds back to the whole session.
 func TestAdoptedSessionRecordStandsAlone(t *testing.T) {
 	peer := t.TempDir()
-	_, tsPeer := newDurable(t, peer, store.Options{}, 1<<20)
+	_, tsPeer := newDurable(t, peer, store.Options{})
 	durablePost(t, tsPeer.URL+"/v1/plan", trackedPlan())
 	for k := 0; k < 3; k++ {
 		ingestHours(t, tsPeer.URL, 2)
@@ -442,7 +442,7 @@ func TestAdoptedSessionRecordStandsAlone(t *testing.T) {
 	}
 
 	home := t.TempDir()
-	s, ts := newDurable(t, home, store.Options{}, 1<<20)
+	s, ts := newDurable(t, home, store.Options{})
 	for k := 0; k < 3; k++ {
 		ingestHours(t, ts.URL, 2) // the same market, no sessions
 	}
@@ -478,7 +478,7 @@ func TestRecoverLegacyDataDir(t *testing.T) {
 		t.Fatal(err)
 	}
 	dir := copyDataDir(t, filepath.Join("testdata", "legacy_session_wal"))
-	s1, ts1 := newDurable(t, dir, store.Options{}, 1<<20)
+	s1, ts1 := newDurable(t, dir, store.Options{})
 	if got := durableGet(t, ts1.URL+"/v1/sessions"); !bytes.Equal(got, want) {
 		t.Fatalf("/v1/sessions recovered from the legacy data dir:\n%s\nthe writing binary served:\n%s", got, want)
 	}
@@ -498,6 +498,6 @@ func TestRecoverLegacyDataDir(t *testing.T) {
 	if legacy != 5 || tails != 2 {
 		t.Fatalf("the log holds %d legacy and %d tail-form session records, want 5 and 2", legacy, tails)
 	}
-	s2, ts2 := newDurable(t, dir, store.Options{}, 1<<20)
+	s2, ts2 := newDurable(t, dir, store.Options{})
 	assertRecoveredExactly(t, s1, s2, ts1.URL, ts2.URL)
 }

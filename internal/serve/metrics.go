@@ -106,9 +106,6 @@ type metrics struct {
 	// and session records that reached the WAL.
 	walTickBytes    atomic.Int64
 	walSessionBytes atomic.Int64
-	// snapshotBytes is the payload length of the last snapshot cut — also
-	// the size the next cut's buffer starts at.
-	snapshotBytes atomic.Int64
 	// windowTruncations counts session windows whose replay or training
 	// range reached before the retained head and was clamped — each one
 	// is a re-optimization that saw less (or wrong) history than asked.
@@ -426,8 +423,8 @@ func (m *metrics) render(w io.Writer, s renderSample) {
 	fmt.Fprintf(w, "sompid_wal_active_segment %d\n", wal.ActiveSegment)
 	header(w, "sompid_snapshots_total", "counter", "Durability snapshots cut since start.")
 	fmt.Fprintf(w, "sompid_snapshots_total %d\n", wal.Snapshots)
-	header(w, "sompid_snapshot_bytes", "gauge", "Payload bytes of the last snapshot cut (0 = none cut since start).")
-	fmt.Fprintf(w, "sompid_snapshot_bytes %d\n", m.snapshotBytes.Load())
+	header(w, "sompid_snapshot_bytes", "gauge", "Payload bytes of the newest snapshot, cut or recovered (0 = none): the next cut waits for this many WAL bytes, or one segment if more.")
+	fmt.Fprintf(w, "sompid_snapshot_bytes %d\n", wal.SnapshotBytes)
 	header(w, "sompid_recovery_seconds", "gauge", "Startup crash-recovery duration in seconds (0 = no recovery ran).")
 	fmt.Fprintf(w, "sompid_recovery_seconds %.6f\n", math.Float64frombits(m.recoverySecondsBits.Load()))
 

@@ -66,9 +66,6 @@ type Config struct {
 	// not yet recovered; the server owns it from here (Close closes it).
 	// Nil keeps the service pure in-memory.
 	Store *store.Store
-	// SnapshotEvery cuts a snapshot after that many WAL records since
-	// the previous one; zero means 4096. Ignored without Store.
-	SnapshotEvery int
 	// IngestQueue bounds how many tick batches may wait for one shard
 	// behind the batch being applied; one more surfaces as 429 +
 	// Retry-After backpressure. Zero means 1024 batches per shard;
@@ -148,15 +145,14 @@ type Server struct {
 	// capture is the request capture log (nil = capture off).
 	capture *harness.Writer
 
-	// store is the durability subsystem (nil = pure in-memory);
-	// snapshotEvery its snapshot cadence in WAL records. snapping gates
-	// one background snapshot cut in flight, snapWG tracks it so Close
-	// can drain it. closed guards Close idempotency (under mu).
-	store         *store.Store
-	snapshotEvery int
-	snapping      atomic.Bool
-	snapWG        sync.WaitGroup
-	closed        bool
+	// store is the durability subsystem (nil = pure in-memory).
+	// snapping gates one background snapshot cut in flight, snapWG
+	// tracks it so Close can drain it. closed guards Close idempotency
+	// (under mu).
+	store    *store.Store
+	snapping atomic.Bool
+	snapWG   sync.WaitGroup
+	closed   bool
 
 	// cluster is the multi-node subsystem (nil = single-node).
 	cluster *clusterNode
@@ -210,10 +206,6 @@ func New(cfg Config) (*Server, error) {
 	}
 	if cfg.Store != nil {
 		s.store = cfg.Store
-		s.snapshotEvery = cfg.SnapshotEvery
-		if s.snapshotEvery == 0 {
-			s.snapshotEvery = 4096
-		}
 		// Recovery runs before the persist hook is installed — replaying
 		// the WAL must not re-log it — and before New returns, so no
 		// traffic ever sees a partially restored market.

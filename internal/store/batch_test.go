@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"testing"
 )
@@ -118,4 +119,46 @@ func TestAppendBatchSingleFsync(t *testing.T) {
 		t.Fatalf("batch fsynced %d times, want 1 (group commit)", syncs)
 	}
 	s.Close()
+}
+
+// TestAppendBatchRefusesUnreadableRecord: a record longer than
+// DecodeRecord accepts is refused with ErrBadLength before it is written,
+// under the prefix contract — the records before it are logged, nothing
+// from it onward is — and the store keeps appending and recovers every
+// logged record. Logging it would leave a data dir that fails Recover.
+func TestAppendBatchRefusesUnreadableRecord(t *testing.T) {
+	dir := t.TempDir()
+	s := mustOpen(t, dir, Options{Fsync: true})
+	mustRecover(t, s)
+	recs := []Record{
+		{Type: RecordTick, Payload: []byte("a")},
+		{Type: RecordTick, Payload: []byte("b")},
+		{Type: RecordTick, Payload: make([]byte, MaxRecordBytes)},
+		{Type: RecordTick, Payload: []byte("c")},
+	}
+	n, err := s.AppendBatch(recs)
+	if n != 2 || !errors.Is(err, ErrBadLength) {
+		t.Fatalf("AppendBatch over a %d-byte frame: n %d err %v, want 2 and ErrBadLength", 1+MaxRecordBytes, n, err)
+	}
+	if err := s.Append(recs[2]); !errors.Is(err, ErrBadLength) {
+		t.Fatalf("Append of the same record: %v, want ErrBadLength", err)
+	}
+	if err := s.Append(Record{Type: RecordTick, Payload: []byte("d")}); err != nil {
+		t.Fatalf("append after a refusal: %v", err)
+	}
+	if got := s.Stats().AppendedRecords; got != 3 {
+		t.Fatalf("AppendedRecords %d, want 3", got)
+	}
+	s.Close()
+
+	s2 := mustOpen(t, dir, Options{})
+	_, got := mustRecover(t, s2)
+	s2.Close()
+	var payloads []string
+	for _, rec := range got {
+		payloads = append(payloads, string(rec.Payload))
+	}
+	if fmt.Sprint(payloads) != "[a b d]" {
+		t.Fatalf("recovered %q, want [a b d]", payloads)
+	}
 }

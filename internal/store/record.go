@@ -88,17 +88,6 @@ func EncodeRecord(rec Record) []byte {
 	return buf
 }
 
-// appendFrameHead appends the bytes EncodeRecord writes before a record's
-// payload — length, CRC and type byte — with the CRC taken over the
-// payload where it lies, so a caller can write the payload after it
-// without copying it into a frame.
-func appendFrameHead(b []byte, typ byte, payload []byte) []byte {
-	crc := crc32.Update(crc32.ChecksumIEEE([]byte{typ}), crc32.IEEETable, payload)
-	b = binary.LittleEndian.AppendUint32(b, uint32(1+len(payload)))
-	b = binary.LittleEndian.AppendUint32(b, crc)
-	return append(b, typ)
-}
-
 // DecodeRecord decodes the first record framed in b, returning the
 // record, the number of bytes it occupied, and a typed error when b does
 // not start with a complete, checksummed frame. The returned payload

@@ -135,7 +135,7 @@ func TestShipCompactionJump(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := s.Snapshot(func() ([]byte, error) { return []byte("state-at-cut"), nil }); err != nil {
+	if err := s.StreamSnapshot(writes([]byte("state-at-cut"))); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Append(Record{Type: RecordSession, Payload: []byte("post-snapshot")}); err != nil {

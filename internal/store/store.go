@@ -1,8 +1,12 @@
 package store
 
 import (
+	"bufio"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -77,6 +81,9 @@ type Stats struct {
 	SnapshotSeq uint64
 	// Snapshots counts snapshots cut by this process.
 	Snapshots uint64
+	// SnapshotBytes is the newest snapshot's payload size, from the cut
+	// that wrote it or the Recover that loaded it (0 = none).
+	SnapshotBytes int64
 	// TruncatedTailBytes counts bytes dropped by torn-tail truncation at
 	// Open — non-zero exactly when the previous process died mid-append.
 	TruncatedTailBytes int64
@@ -101,9 +108,14 @@ type Store struct {
 	appended  uint64
 	snapshots uint64
 	truncated int64
-	appendsAt uint64 // appended count when the last snapshot was cut
-	recovered bool
-	closed    bool
+	// The snapshot cadence (SnapshotDue): frame bytes appended by this
+	// process, that count at the last cut's rotation, and the newest
+	// snapshot's payload size.
+	appendedBytes int64
+	bytesAt       int64
+	snapBytes     int64
+	recovered     bool
+	closed        bool
 
 	// notify, when non-nil, is closed (under mu) at the next append,
 	// rotation, or snapshot — the wake-up for shipping streams. See
@@ -330,11 +342,13 @@ func (s *Store) Recover(onSnapshot func(payload []byte) error, onRecord func(rec
 	segs := append([]uint64(nil), s.segs...)
 	s.mu.Unlock()
 
+	var snapBytes int64
 	if snapSeq > 0 {
 		payload, err := readSnapshot(s.snapPath(snapSeq))
 		if err != nil {
 			return err
 		}
+		snapBytes = int64(len(payload))
 		if onSnapshot != nil {
 			if err := onSnapshot(payload); err != nil {
 				return fmt.Errorf("store: applying snapshot %d: %w", snapSeq, err)
@@ -375,6 +389,7 @@ func (s *Store) Recover(onSnapshot func(payload []byte) error, onRecord func(rec
 
 	s.mu.Lock()
 	s.recovered = true
+	s.snapBytes = snapBytes
 	s.mu.Unlock()
 	return nil
 }
@@ -410,11 +425,20 @@ func (s *Store) Append(rec Record) error {
 // onward was logged; a trailing fsync failure returns (len(recs), err)
 // because every frame is in the log and will be seen by replay — the
 // caller must treat the batch as logged (the exposure is the same
-// tail-loss window as running with Options.Fsync off).
+// tail-loss window as running with Options.Fsync off). A record longer
+// than DecodeRecord accepts is refused the same way, as ErrBadLength,
+// before it is written: the records before it are logged and synced,
+// and nothing from it onward is, so the log never holds a frame that
+// would keep the data dir from recovering.
 func (s *Store) AppendBatch(recs []Record) (int, error) {
-	frames := make([][]byte, len(recs))
+	frames := make([][]byte, 0, len(recs))
+	var refused error
 	for i, rec := range recs {
-		frames[i] = EncodeRecord(rec)
+		if n := 1 + len(rec.Payload); n > MaxRecordBytes {
+			refused = fmt.Errorf("%w: record %d frames %d bytes, over %d", ErrBadLength, i, n, MaxRecordBytes)
+			break
+		}
+		frames = append(frames, EncodeRecord(rec))
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -435,16 +459,17 @@ func (s *Store) AppendBatch(recs []Record) (int, error) {
 		}
 		s.size += int64(len(frame))
 		s.appended++
+		s.appendedBytes += int64(len(frame))
 	}
-	if s.opts.Fsync && len(recs) > 0 {
+	if s.opts.Fsync && len(frames) > 0 {
 		if err := s.syncLocked(); err != nil {
-			return len(recs), err
+			return len(frames), err
 		}
 	}
-	if len(recs) > 0 {
+	if len(frames) > 0 {
 		s.notifyLocked()
 	}
-	return len(recs), nil
+	return len(frames), refused
 }
 
 // rotateLocked seals the active segment (fsync + close) and opens the
@@ -485,11 +510,21 @@ func (s *Store) Sync() error {
 	return s.syncLocked()
 }
 
-// Snapshot cuts a snapshot: it rotates the WAL (so the snapshot has a
-// clean segment boundary B), invokes capture — with no store lock held —
-// to materialize the caller's state, writes the payload to snap-B via
-// temp-file-and-rename, then compacts every segment and snapshot below
-// B.
+// snapshotBuffer sizes the buffer a snapshot cut streams through.
+const snapshotBuffer = 64 << 10
+
+// StreamSnapshot cuts a snapshot: it rotates the WAL (so the snapshot
+// has a clean segment boundary B), invokes capture — with no store lock
+// held — to stream the caller's state into snap-B's temp file, installs
+// it by rename, then compacts every segment and snapshot below B.
+//
+// The file is header ‖ EncodeRecord(snapshot record), byte for byte, but
+// the payload is never held whole: capture writes it through a fixed
+// buffer, the frame's length and CRC are kept as it passes, and they
+// are written into a placeholder at the frame head once capture
+// returns. A payload longer than DecodeRecord accepts fails the cut
+// with ErrBadLength — nothing is installed and nothing compacted, since
+// a snapshot no recovery can read must never replace the log it covers.
 //
 // Correctness under concurrent appends rests on two properties the
 // caller must provide: capture must acquire each data structure's lock
@@ -498,7 +533,7 @@ func (s *Store) Sync() error {
 // finishes, so capture observes it), and records must be idempotent on
 // replay (appends that landed after the boundary are both in the capture
 // and in segments >= B; recovery re-applies and skips them by version).
-func (s *Store) Snapshot(capture func() ([]byte, error)) error {
+func (s *Store) StreamSnapshot(capture func(w io.Writer) error) error {
 	s.snapMu.Lock()
 	defer s.snapMu.Unlock()
 
@@ -516,25 +551,39 @@ func (s *Store) Snapshot(capture func() ([]byte, error)) error {
 		return err
 	}
 	boundary := s.active
-	appendedAt := s.appended
+	// A cut that fails still restarts the cadence, so a state that
+	// cannot be snapshotted is retried after another interval, not on
+	// every append.
+	s.bytesAt = s.appendedBytes
 	s.mu.Unlock()
-
-	payload, err := capture()
-	if err != nil {
-		return fmt.Errorf("store: capturing snapshot state: %w", err)
-	}
 
 	tmp := s.snapPath(boundary) + ".tmp"
 	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
 	if err != nil {
 		return fmt.Errorf("store: creating snapshot temp: %w", err)
 	}
-	// The file is header ‖ EncodeRecord(snapshot record), written as the
-	// header and frame prefix, then the payload in place: a snapshot is
-	// megabytes, and framing it would copy it twice.
-	_, werr := f.Write(appendFrameHead(header(snapMagic), recordSnapshot, payload))
+	sw := &snapshotWriter{
+		w:   bufio.NewWriterSize(f, snapshotBuffer),
+		crc: crc32.ChecksumIEEE([]byte{recordSnapshot}),
+	}
+	// The frame head's length and CRC are zeros until the payload is in.
+	head := append(header(snapMagic), make([]byte, frameHeader)...)
+	_, werr := sw.w.Write(append(head, recordSnapshot))
 	if werr == nil {
-		_, werr = f.Write(payload)
+		if err := capture(sw); err != nil {
+			werr = fmt.Errorf("capturing snapshot state: %w", err)
+		} else {
+			werr = sw.err
+		}
+	}
+	if werr == nil {
+		werr = sw.w.Flush()
+	}
+	if werr == nil {
+		var fh [frameHeader]byte
+		binary.LittleEndian.PutUint32(fh[0:4], uint32(1+sw.n))
+		binary.LittleEndian.PutUint32(fh[4:8], sw.crc)
+		_, werr = f.WriteAt(fh[:], headerLen)
 	}
 	if werr == nil {
 		werr = f.Sync()
@@ -558,7 +607,7 @@ func (s *Store) Snapshot(capture func() ([]byte, error)) error {
 	prevSnap := s.snapSeq
 	s.snapSeq = boundary
 	s.snapshots++
-	s.appendsAt = appendedAt
+	s.snapBytes = int64(sw.n)
 	var keep []uint64
 	for _, seq := range s.segs {
 		if seq < boundary && seq != s.active {
@@ -576,12 +625,54 @@ func (s *Store) Snapshot(capture func() ([]byte, error)) error {
 	return nil
 }
 
-// AppendsSinceSnapshot reports how many records were appended since the
-// last snapshot cut (or Open) — the trigger input for snapshot cadence.
-func (s *Store) AppendsSinceSnapshot() uint64 {
+// Snapshot is StreamSnapshot for a capture that holds its payload whole.
+func (s *Store) Snapshot(capture func() ([]byte, error)) error {
+	return s.StreamSnapshot(func(w io.Writer) error {
+		payload, err := capture()
+		if err == nil {
+			_, err = w.Write(payload)
+		}
+		return err
+	})
+}
+
+// snapshotWriter is the stream a snapshot's payload passes through: it
+// counts the payload and extends the frame CRC over it, and refuses any
+// write that would take the frame past MaxRecordBytes. Its first error
+// sticks, so a capture that drops one still fails the cut.
+type snapshotWriter struct {
+	w   *bufio.Writer
+	n   int
+	crc uint32
+	err error
+}
+
+func (sw *snapshotWriter) Write(p []byte) (int, error) {
+	if sw.err != nil {
+		return 0, sw.err
+	}
+	if len(p) > MaxRecordBytes-1-sw.n {
+		sw.err = fmt.Errorf("%w: snapshot payload passes %d bytes", ErrBadLength, MaxRecordBytes-1)
+		return 0, sw.err
+	}
+	n, err := sw.w.Write(p)
+	sw.crc = crc32.Update(sw.crc, crc32.IEEETable, p[:n])
+	sw.n += n
+	sw.err = err
+	return n, err
+}
+
+// SnapshotDue reports whether a snapshot cut is worth its cost: the
+// frame bytes appended since the last cut reach both one segment (a cut
+// before that frees less than a segment to compaction) and the newest
+// snapshot's payload (a cut before that writes more snapshot than the
+// log it retires). Snapshot bytes written therefore never outrun WAL
+// bytes appended by more than the newest snapshot, and recovery replays
+// at most max(snapshot, segment) of log this process appended.
+func (s *Store) SnapshotDue() bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.appended - s.appendsAt
+	return s.appendedBytes-s.bytesAt >= max(s.opts.SegmentBytes, s.snapBytes)
 }
 
 // SetFsyncObserver installs (or with nil removes) a callback observing
@@ -605,6 +696,7 @@ func (s *Store) Stats() Stats {
 		Segments:           len(s.segs),
 		SnapshotSeq:        s.snapSeq,
 		Snapshots:          s.snapshots,
+		SnapshotBytes:      s.snapBytes,
 		TruncatedTailBytes: s.truncated,
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"testing"
@@ -30,6 +31,29 @@ func mustRecover(t *testing.T, s *Store) (snap []byte, recs []Record) {
 		t.Fatalf("Recover: %v", err)
 	}
 	return snap, recs
+}
+
+// writes is a snapshot capture that streams payload in uneven chunks,
+// so writes straddle the cut's buffer.
+func writes(payload []byte) func(io.Writer) error {
+	return func(w io.Writer) error {
+		for len(payload) > 0 {
+			n := min(len(payload), 7919)
+			if _, err := w.Write(payload[:n]); err != nil {
+				return err
+			}
+			payload = payload[n:]
+		}
+		return nil
+	}
+}
+
+// sinceCut is the cadence's input: frame bytes appended since the last
+// cut.
+func sinceCut(s *Store) int64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.appendedBytes - s.bytesAt
 }
 
 func TestRecordRoundTrip(t *testing.T) {
@@ -161,7 +185,7 @@ func TestAppendGuards(t *testing.T) {
 	if err := s.Sync(); !errors.Is(err, ErrClosed) {
 		t.Fatalf("sync after close: got %v, want ErrClosed", err)
 	}
-	if err := s.Snapshot(func() ([]byte, error) { return nil, nil }); !errors.Is(err, ErrClosed) {
+	if err := s.StreamSnapshot(writes(nil)); !errors.Is(err, ErrClosed) {
 		t.Fatalf("snapshot after close: got %v, want ErrClosed", err)
 	}
 }
@@ -335,22 +359,25 @@ func TestSnapshotReplayAndCompaction(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := s.Snapshot(func() ([]byte, error) { return []byte("state-at-5"), nil }); err != nil {
+	if err := s.StreamSnapshot(writes([]byte("state-at-5"))); err != nil {
 		t.Fatalf("Snapshot: %v", err)
 	}
-	if got := s.AppendsSinceSnapshot(); got != 0 {
-		t.Fatalf("AppendsSinceSnapshot after cut = %d, want 0", got)
+	if got := sinceCut(s); got != 0 || s.SnapshotDue() {
+		t.Fatalf("after the cut: %d bytes since it, due %v; want 0, not due", got, s.SnapshotDue())
 	}
+	var frames int64
 	for i := 0; i < 3; i++ {
-		if err := s.Append(Record{Type: RecordSession, Payload: []byte(fmt.Sprintf("post-%d", i))}); err != nil {
+		rec := Record{Type: RecordSession, Payload: []byte(fmt.Sprintf("post-%d", i))}
+		if err := s.Append(rec); err != nil {
 			t.Fatal(err)
 		}
+		frames += int64(len(EncodeRecord(rec)))
 	}
-	if got := s.AppendsSinceSnapshot(); got != 3 {
-		t.Fatalf("AppendsSinceSnapshot = %d, want 3", got)
+	if got := sinceCut(s); got != frames {
+		t.Fatalf("%d bytes since the cut, want the %d frame bytes appended", got, frames)
 	}
 	stats := s.Stats()
-	if stats.SnapshotSeq == 0 || stats.Snapshots != 1 {
+	if stats.SnapshotSeq == 0 || stats.Snapshots != 1 || stats.SnapshotBytes != int64(len("state-at-5")) {
 		t.Fatalf("stats after snapshot: %+v", stats)
 	}
 	s.Close()
@@ -386,20 +413,27 @@ func TestSnapshotReplayAndCompaction(t *testing.T) {
 	s2.Close()
 }
 
-// TestSnapshotFileIsHeaderAndFrame pins the snapshot writer, which frames
-// the payload without copying it: the file is exactly the header and
-// EncodeRecord of the snapshot record, for an empty, a small and a
-// multi-MB payload, and Recover reads the payload back.
+// TestSnapshotFileIsHeaderAndFrame pins the snapshot writer, which
+// streams the payload and fills the frame head in after it: the file is
+// exactly the header and EncodeRecord of the snapshot record, for an
+// empty, a small and a multi-MB payload, streamed in chunks or written
+// whole through Snapshot, and Recover reads the payload back.
 func TestSnapshotFileIsHeaderAndFrame(t *testing.T) {
 	big := make([]byte, 3<<20)
 	for i := range big {
 		big[i] = byte(i*7 + i>>13)
 	}
-	for _, payload := range [][]byte{{}, []byte(`{"market":[],"sessions":[]}`), big} {
+	for i, payload := range [][]byte{{}, []byte(`{"market":[],"sessions":[]}`), big, {}, []byte(`{}`), big} {
 		dir := t.TempDir()
 		s := mustOpen(t, dir, Options{})
 		mustRecover(t, s)
-		if err := s.Snapshot(func() ([]byte, error) { return payload, nil }); err != nil {
+		var err error
+		if i < 3 {
+			err = s.StreamSnapshot(writes(payload))
+		} else {
+			err = s.Snapshot(func() ([]byte, error) { return payload, nil })
+		}
+		if err != nil {
 			t.Fatalf("Snapshot: %v", err)
 		}
 		snaps, _ := filepath.Glob(filepath.Join(dir, "snap-*.snap"))
@@ -432,7 +466,7 @@ func TestCorruptSnapshotFailsHard(t *testing.T) {
 	s := mustOpen(t, dir, Options{})
 	mustRecover(t, s)
 	s.Append(Record{Type: RecordTick, Payload: []byte("x")})
-	if err := s.Snapshot(func() ([]byte, error) { return []byte("precious"), nil }); err != nil {
+	if err := s.StreamSnapshot(writes([]byte("precious"))); err != nil {
 		t.Fatal(err)
 	}
 	snapSeq := s.Stats().SnapshotSeq
@@ -465,7 +499,7 @@ func TestRecoverySkipsCoveredSegments(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		s.Append(Record{Type: RecordTick, Payload: bytes.Repeat([]byte{byte(i)}, 40)})
 	}
-	if err := s.Snapshot(func() ([]byte, error) { return []byte("covered"), nil }); err != nil {
+	if err := s.StreamSnapshot(writes([]byte("covered"))); err != nil {
 		t.Fatal(err)
 	}
 	boundary := s.Stats().SnapshotSeq
@@ -508,7 +542,7 @@ func TestOpenSweepsOrphanSnapshots(t *testing.T) {
 	s := mustOpen(t, dir, Options{})
 	mustRecover(t, s)
 	s.Append(Record{Type: RecordTick, Payload: []byte("x")})
-	if err := s.Snapshot(func() ([]byte, error) { return []byte("newest"), nil }); err != nil {
+	if err := s.StreamSnapshot(writes([]byte("newest"))); err != nil {
 		t.Fatal(err)
 	}
 	newest := s.Stats().SnapshotSeq
