@@ -71,8 +71,9 @@ cluster-smoke:
 # session record of any bytes folds onto a held session state into a
 # typed error or a well-formed state; the durable session encoder writes
 # exactly json.Marshal's bytes for any audit record or session state, and
-# fails exactly when it fails.
-# (go test -fuzz takes one target per invocation; eight targets.)
+# fails exactly when it fails; model.Prepare's O(T) walk matches the
+# sort-based reference to the bit on any group Plan.Validate admits.
+# (go test -fuzz takes one target per invocation; nine targets.)
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test ./internal/store -run '^$$' -fuzz 'FuzzDecodeRecord' -fuzztime $(FUZZTIME)
@@ -83,6 +84,7 @@ fuzz:
 	$(GO) test ./internal/cluster -run '^$$' -fuzz 'FuzzReadFrame' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/serve -run '^$$' -fuzz 'FuzzSessionFold' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/serve -run '^$$' -fuzz 'FuzzDurableEncode' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/model -run '^$$' -fuzz 'FuzzPrepare' -fuzztime $(FUZZTIME)
 
 # Same gates as running serve-smoke, tournament-smoke, replay-smoke and
 # cluster-smoke one by one; the three process smokes share one cmd/smoke

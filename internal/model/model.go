@@ -229,6 +229,9 @@ type GroupPlan struct {
 	Bid float64
 	// Interval is the checkpoint interval F_i in hours. Interval >= T
 	// means no checkpoints are taken (the paper's F_i = T_i convention).
+	// Plan.Validate admits no interval below T/2^53, nor NaN: ⌊t/F⌋ then
+	// fits an int, and with the group's O finite and >= 0 and R not NaN,
+	// SpotTime and Ratio are monotone in t, as Prepare relies on.
 	Interval float64
 }
 
@@ -309,8 +312,8 @@ func (p Plan) Validate() error {
 		if gp.Bid <= 0 {
 			return fmt.Errorf("model: plan group %d has non-positive bid %v", i, gp.Bid)
 		}
-		if gp.Interval <= 0 {
-			return fmt.Errorf("model: plan group %d has non-positive interval %v", i, gp.Interval)
+		if minF := float64(gp.Group.T) / (1 << 53); !(gp.Interval > 0 && gp.Interval >= minF) {
+			return fmt.Errorf("model: plan group %d has interval %v, want > 0 and >= T/2^53 = %v", i, gp.Interval, minF)
 		}
 	}
 	if p.Recovery.M <= 0 || p.Recovery.T <= 0 {
@@ -362,68 +365,57 @@ type PreparedGroup struct {
 func (pg *PreparedGroup) CostSpot() float64 { return pg.costSpot }
 
 // Prepare evaluates the per-group distributions for one bid/interval
-// choice.
+// choice in one O(T) walk over t. Under GroupPlan.Interval's bound,
+// SpotTime never falls and Ratio never rises in t, so each support comes
+// out sorted with equal values adjacent, their masses summed in
+// ascending t: bit for bit what a stable sort and merge would give.
 func Prepare(gp GroupPlan) *PreparedGroup {
 	d := gp.Group.Dist(gp.Bid)
+	T := gp.Group.T
 	pg := &PreparedGroup{GP: gp, complete: d.Complete()}
 
+	// One backing array: ≤ T+1 spot times, and ≤ one Ratio per checkpoint
+	// count before T plus 0 at T. Until the walk ends, cdf and tail hold
+	// each value's mass one slot right; Ratio values fill from the top.
+	k := min(T+1, gp.Checkpoints(T-1)+2)
+	buf := make([]float64, 2*T+3+2*k+1)
+	times, cdf := buf[:0:T+1], buf[T+1:2*T+3]
+	ratios, tail, lo := buf[2*T+3:2*T+3+k], buf[2*T+3+k:], k
 	eSpot := 0.0
-	for t := 0; t <= gp.Group.T; t++ {
-		eSpot += d.P[t] * gp.SpotTime(t)
+	for t := 0; t <= T; t++ {
+		p, st := d.P[t], gp.SpotTime(t)
+		eSpot += p * st
+		if p == 0 {
+			continue
+		}
+		if n := len(times); n > 0 && times[n-1] == st {
+			cdf[n] += p
+		} else {
+			times = append(times, st)
+			cdf[n+1] = p
+		}
+		if r := gp.Ratio(t); lo < k && ratios[lo] == r {
+			tail[lo+1] += p
+		} else {
+			lo--
+			ratios[lo], tail[lo+1] = r, p
+		}
 	}
 	pg.costSpot = gp.Group.ExpectedPrice(gp.Bid) * eSpot * float64(gp.Group.M)
 
-	pg.ratioVals, pg.ratioTail = tailDist(gp.Group.T, d, gp.Ratio)
-	var timeProbs []float64
-	pg.timeVals, timeProbs = sortedDist(gp.Group.T, d, gp.SpotTime)
-	pg.timeCDF = make([]float64, len(pg.timeVals)+1)
-	for j, p := range timeProbs {
-		pg.timeCDF[j+1] = pg.timeCDF[j] + p
+	for j := range times {
+		cdf[j+1] += cdf[j]
 	}
-	return pg
-}
-
-// sortedDist maps the failure-time distribution through f and returns
-// ascending distinct values with their probabilities.
-func sortedDist(T int, d *failure.Dist, f func(int) float64) (vals, probs []float64) {
-	type vp struct{ v, p float64 }
-	tmp := make([]vp, 0, T+1)
-	for t := 0; t <= T; t++ {
-		if d.P[t] == 0 {
-			continue
-		}
-		tmp = append(tmp, vp{f(t), d.P[t]})
-	}
-	// Insertion sort: inputs are near-sorted (SpotTime ascending, Ratio
-	// mostly descending), and T is at most ~100.
-	for i := 1; i < len(tmp); i++ {
-		for j := i; j > 0 && tmp[j].v < tmp[j-1].v; j-- {
-			tmp[j], tmp[j-1] = tmp[j-1], tmp[j]
-		}
-	}
-	for _, e := range tmp {
-		if n := len(vals); n > 0 && vals[n-1] == e.v {
-			probs[n-1] += e.p
-		} else {
-			vals = append(vals, e.v)
-			probs = append(probs, e.p)
-		}
-	}
-	return vals, probs
-}
-
-// tailDist is sortedDist plus the survival array tail[j] = P(X > vals[j-1]).
-func tailDist(T int, d *failure.Dist, f func(int) float64) (vals, tail []float64) {
-	vals, probs := sortedDist(T, d, f)
-	tail = make([]float64, len(vals)+1)
+	ratios, tail = ratios[lo:], tail[lo:]
 	tail[0] = 1
-	for j, p := range probs {
-		tail[j+1] = tail[j] - p
-		if tail[j+1] < 0 {
+	for j := range ratios {
+		if tail[j+1] = tail[j] - tail[j+1]; tail[j+1] < 0 {
 			tail[j+1] = 0
 		}
 	}
-	return vals, tail
+	pg.timeVals, pg.timeCDF = times, cdf[:len(times)+1]
+	pg.ratioVals, pg.ratioTail = ratios, tail
+	return pg
 }
 
 // Evaluate computes the expected cost and time of the plan exactly.

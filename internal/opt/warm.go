@@ -27,6 +27,7 @@ func WarmBound(cfg Config, prev model.Plan) (cost float64, ok bool) {
 	if err != nil {
 		return 0, false
 	}
+	rb := bindReuse(cfg)
 	pgs := make([]*model.PreparedGroup, 0, len(prev.Groups))
 	for _, gp := range prev.Groups {
 		it, found := cfg.Market.Catalog().ByName(gp.Group.Key.Type)
@@ -45,6 +46,11 @@ func WarmBound(cfg Config, prev model.Plan) (cost float64, ok bool) {
 		g := model.NewGroup(cfg.Profile, it, gp.Group.Key.Zone, tr)
 		if float64(g.T) > cfg.Deadline || gp.Bid <= 0 {
 			return 0, false
+		}
+		// Take the bid's sweep from the passage tier the search shares,
+		// not one cold sweep each for Phi's MTTF and Prepare's Dist.
+		if rb != nil {
+			g.Prewarm([]float64{gp.Bid}, rb.passages(g.Key, tr))
 		}
 		interval := float64(g.T)
 		if !cfg.DisableCheckpoints {

@@ -2,6 +2,7 @@ package opt
 
 import (
 	"context"
+	"math"
 	"sync"
 	"testing"
 
@@ -378,4 +379,49 @@ func TestWarmBoundIsAchievedCost(t *testing.T) {
 	if _, ok := WarmBound(cfg, none); ok {
 		t.Fatal("WarmBound accepted an empty plan")
 	}
+}
+
+// TestWarmBoundSourcesPassageTier: with a bound ReuseCache, WarmBound
+// re-prices each previous-plan bid through the shard's passage tier. The
+// seed must equal the Reuse: nil seed to the bit, and the tier must sweep
+// each (shard, bid) of the previous plans at most once, however many
+// residual profiles re-price them.
+func TestWarmBoundSourcesPassageTier(t *testing.T) {
+	ctx := context.Background()
+	view := planMissWindow(96)
+	cache := NewReuseCache()
+	distinct := map[passageKey]bool{}
+	seeded := 0
+	for _, name := range planMissPresets {
+		p, _ := app.ByName(name)
+		res, err := OptimizeContext(ctx, Config{Profile: p, Market: view, Deadline: 80, Workers: 1})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		for _, gp := range res.Plan.Groups {
+			distinct[passageKey{gp.Group.Key, math.Float64bits(gp.Bid)}] = true
+		}
+		for _, frac := range []float64{1, 0.73, 0.31} {
+			cold := Config{Profile: p.Scale(frac), Market: view, Deadline: 80}
+			want, wantOK := WarmBound(cold, res.Plan)
+			reused := cold
+			reused.Reuse = cache
+			got, gotOK := WarmBound(reused, res.Plan)
+			if gotOK != wantOK || math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("%s ×%v: WarmBound through the passage tier = (%v, %v), cold = (%v, %v)",
+					name, frac, got, gotOK, want, wantOK)
+			}
+			if gotOK {
+				seeded++
+			}
+		}
+	}
+	swept := cache.sweeps.Load()
+	if swept == 0 || swept > int64(len(distinct)) {
+		t.Fatalf("the tier derived %d sweeps for %d distinct (shard, bid) pairs", swept, len(distinct))
+	}
+	if seeded == 0 {
+		t.Fatal("no previous plan re-priced to a seed; the test compared only rejections")
+	}
+	t.Logf("%d seeds re-priced bit-identically over %d (shard, bid) sweeps", seeded, swept)
 }

@@ -269,6 +269,36 @@ func TestEvaluateEndpoint(t *testing.T) {
 	}
 }
 
+// TestEvaluateRejectsUncountableInterval: at an interval so short that
+// the checkpoint count ⌊t/F⌋ overflows an int, a plan bidding above every
+// price priced to about -2.5e18 dollars. Any positive interval below
+// T/2^53 is unprocessable, and the same plan at a countable interval
+// still prices.
+func TestEvaluateRejectsUncountableInterval(t *testing.T) {
+	ts := newTestServer(t, serve.Config{})
+	req := serve.EvaluateRequest{App: "BT", Plan: serve.PlanPayload{
+		Groups:   []serve.GroupPayload{{Type: cloud.C3XLarge.Name, Zone: cloud.ZoneA, Bid: 5, IntervalHours: 1e-20}},
+		Recovery: serve.RecoveryPayload{Type: cloud.CC28XLarge.Name},
+	}}
+	status, _, body := postJSON(t, ts.URL+"/v1/evaluate", req)
+	if status != http.StatusUnprocessableEntity {
+		t.Fatalf("interval 1e-20 h: %d %s, want 422", status, body)
+	}
+
+	req.Plan.Groups[0].IntervalHours = 2
+	status, _, body = postJSON(t, ts.URL+"/v1/evaluate", req)
+	if status != http.StatusOK {
+		t.Fatalf("interval 2 h: %d %s", status, body)
+	}
+	var ev serve.EvaluateResponse
+	if err := json.Unmarshal(body, &ev); err != nil {
+		t.Fatalf("unmarshal: %v", err)
+	}
+	if !(ev.Estimate.Cost >= 0) {
+		t.Fatalf("interval 2 h priced to %v", ev.Estimate.Cost)
+	}
+}
+
 // TestMonteCarloEndpoint checks the served statistics equal a
 // library-path MonteCarloContext run with the same seed on the same
 // market snapshot.
