@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race serve-smoke tournament-smoke replay-smoke cluster-smoke fuzz check obs-bench
+.PHONY: all build vet test race serve-smoke tournament-smoke tournament-golden replay-smoke cluster-smoke fuzz check obs-bench
 
 all: check
 
@@ -45,6 +45,13 @@ serve-smoke:
 tournament-smoke:
 	$(GO) run ./cmd/sompi tournament -smoke > /dev/null
 
+# Regenerate the full tournament report (~6 s) and byte-compare it with
+# the committed TOURNAMENT.md: a change that moves any plan, cost or
+# ranking in it fails here until the file is regenerated on purpose.
+tournament-golden:
+	out=$$(mktemp); trap 'rm -f "$$out"' EXIT; \
+	$(GO) run ./cmd/sompi tournament > "$$out" && cmp "$$out" TOURNAMENT.md
+
 # Capture/replay end-to-end gate: boot sompid -capture-log and drive
 # mixed traffic, SIGTERM-seal the log, twin-diff the replay against an
 # in-memory and a -data-dir sompid (zero plan-byte diffs, rules file
@@ -72,8 +79,10 @@ cluster-smoke:
 # typed error or a well-formed state; the durable session encoder writes
 # exactly json.Marshal's bytes for any audit record or session state, and
 # fails exactly when it fails; model.Prepare's O(T) walk matches the
-# sort-based reference to the bit on any group Plan.Validate admits.
-# (go test -fuzz takes one target per invocation; nine targets.)
+# sort-based reference to the bit on any group Plan.Validate admits; the
+# on-demand PrefixStack prices every leaf of any push/leaf/pop sequence
+# to the eager stack's (cost, within) bits.
+# (go test -fuzz takes one target per invocation; ten targets.)
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test ./internal/store -run '^$$' -fuzz 'FuzzDecodeRecord' -fuzztime $(FUZZTIME)
@@ -85,11 +94,12 @@ fuzz:
 	$(GO) test ./internal/serve -run '^$$' -fuzz 'FuzzSessionFold' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/serve -run '^$$' -fuzz 'FuzzDurableEncode' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/model -run '^$$' -fuzz 'FuzzPrepare' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/model -run '^$$' -fuzz 'FuzzPrefixStack' -fuzztime $(FUZZTIME)
 
-# Same gates as running serve-smoke, tournament-smoke, replay-smoke and
-# cluster-smoke one by one; the three process smokes share one cmd/smoke
-# run so the binaries build once.
-check: build vet race tournament-smoke
+# Same gates as running serve-smoke, tournament-smoke, tournament-golden,
+# replay-smoke and cluster-smoke one by one; the three process smokes
+# share one cmd/smoke run so the binaries build once.
+check: build vet race tournament-smoke tournament-golden
 	$(GO) test -C bench ./...
 	$(SMOKE) serve replay cluster
 

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"fmt"
 	"strconv"
 	"strings"
 	"testing"
@@ -224,6 +225,25 @@ func TestSlackStudyRuns(t *testing.T) {
 	tab := Slack(p)
 	if len(tab.Rows) != 5 {
 		t.Fatalf("%d rows, want 5", len(tab.Rows))
+	}
+}
+
+// TestTmStudyPinned pins the T_m study at tiny() to the rows it printed
+// when the pin was added: normalized cost per optimization window and a
+// zero miss rate. It records what the repo measures, not the paper's
+// U-shape, which these rows do not show; and each row runs the κ = 4
+// adaptive search, so a search change that moves a plan moves a row.
+func TestTmStudyPinned(t *testing.T) {
+	tab := Tm(tiny())
+	want := [][]string{
+		{"5", "0.188", "0"},
+		{"10", "0.213", "0"},
+		{"15", "0.215", "0"},
+		{"20", "0.215", "0"},
+		{"30", "0.215", "0"},
+	}
+	if fmt.Sprint(tab.Rows) != fmt.Sprint(want) {
+		t.Errorf("T_m study rows %v, pinned %v\n%s", tab.Rows, want, tab)
 	}
 }
 

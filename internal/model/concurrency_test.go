@@ -95,7 +95,8 @@ func TestEvaluatorMatchesPackageFunction(t *testing.T) {
 
 // TestEvaluatorAllocationFree verifies the optimizer's inner loop does
 // not allocate per evaluation once the Evaluator's scratch has grown, nor
-// per push, pop or leaf of a PrefixStack sized for the grid.
+// per push, pop or leaf of a PrefixStack sized for the grid, whether a
+// leaf walks a level in full or leaves it half merged for the next.
 func TestEvaluatorAllocationFree(t *testing.T) {
 	m := testMarket(7)
 	od := defaultRecovery()
@@ -126,6 +127,30 @@ func TestEvaluatorAllocationFree(t *testing.T) {
 	})
 	if allocs > 0 {
 		t.Errorf("PrefixStack push/leaf/pop allocates %.1f objects per descent, want 0", allocs)
+	}
+
+	// A leaf cut just past the spot-cost sum leaves the level it read half
+	// merged; the next leaf under the same prefix walks it in full, and a
+	// pop and push hand the level to another group.
+	spot := pgs[0].CostSpot() + pgs[1].CostSpot() + last.CostSpot()
+	top := func() *ratioStep { return &stack.steps[len(stack.steps)-1] }
+	allocs = testing.AllocsPerRun(100, func() {
+		stack.Push(pgs[0])
+		stack.Push(pgs[1])
+		if _, within := stack.LeafCost(last, od.T, od.Rate(), spot); within || top().done || top().n == 0 {
+			t.Fatalf("cut leaf: within %v, level done %v with %d points", within, top().done, top().n)
+		}
+		if _, within := stack.LeafCost(last, od.T, od.Rate(), math.Inf(1)); !within || !top().done {
+			t.Fatalf("full leaf: within %v, level done %v", within, top().done)
+		}
+		stack.Pop()
+		stack.Push(last)
+		stack.LeafCost(pgs[1], od.T, od.Rate(), spot)
+		stack.Pop()
+		stack.Pop()
+	})
+	if allocs > 0 {
+		t.Errorf("PrefixStack half-merged descent allocates %.1f objects, want 0", allocs)
 	}
 }
 

@@ -1,0 +1,80 @@
+package model_test
+
+import (
+	"context"
+	"testing"
+
+	"sompi/internal/app"
+	"sompi/internal/cloud"
+	"sompi/internal/model"
+	"sompi/internal/opt"
+	"sompi/internal/stats"
+)
+
+// TestPlanMissMergesOnDemand is the structural gate on the lazy prefix
+// stack, in counts rather than time: over the BenchmarkPlanMiss pass (8
+// presets × 6 stratified deadlines on sompid's -hours 336 -seed 2015
+// market, trailing 96 h, Workers: 1, a ReuseCache warmed at 100 h) the
+// levels must merge at most 30 % of the support points the eager stack
+// merges for the same pushes, and the search's counters must not move.
+func TestPlanMissMergesOnDemand(t *testing.T) {
+	snap := cloud.GenerateMarket(cloud.DefaultCatalog(), cloud.DefaultZones(), 336, 2015).Capture()
+	view := snap.Window(snap.MinDuration()-96, 96)
+	cache := opt.NewReuseCache()
+	var profiles []app.Profile
+	for _, name := range []string{"BT", "SP", "LU", "FT", "IS", "BTIO", "LAMMPS-32", "LAMMPS-128"} {
+		p, ok := app.ByName(name)
+		if !ok {
+			t.Fatalf("no preset %q", name)
+		}
+		profiles = append(profiles, p)
+		if _, err := opt.OptimizeContext(context.Background(), opt.Config{Profile: p, Market: view, Deadline: 100, Workers: 1, Reuse: cache}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	r := stats.NewRNG(1)
+	deadlines := make([]float64, 6)
+	for s := range deadlines {
+		deadlines[s] = 40 + (float64(s)+r.Float64())*80/float64(len(deadlines))
+	}
+
+	// pass plans every preset at every deadline once. The first pass also
+	// fills the cache's per-profile tiers, as the benchmark's first
+	// iteration does; the audited pass is the second, the benchmark's
+	// steady state. Its per-plan figures, 34,898.3 evals and 65,660.7
+	// pruned, print as 34899 and 65661 in BenchmarkPlanMiss, whose mean
+	// takes in the first pass's 1,675,426 evals.
+	pass := func() (evals, pruned int) {
+		for _, p := range profiles {
+			for _, d := range deadlines {
+				res, err := opt.OptimizeContext(context.Background(), opt.Config{Profile: p, Market: view, Deadline: d, Workers: 1, Reuse: cache})
+				if err != nil {
+					t.Fatal(err)
+				}
+				evals += res.Evals
+				pruned += res.Pruned
+			}
+		}
+		return evals, pruned
+	}
+	for n, want := range [][2]int{{1675426, 3151712}, {1675120, 3151712}} {
+		var stop func() (int, int)
+		if n == 1 {
+			stop = model.AuditMerges()
+			defer stop()
+		}
+		evals, pruned := pass()
+		if evals != want[0] || pruned != want[1] {
+			t.Errorf("pass %d: %d evals, %d pruned; pinned %d and %d", n+1, evals, pruned, want[0], want[1])
+		}
+		if stop == nil {
+			continue
+		}
+		lazy, eager := stop()
+		share := float64(lazy) / float64(eager)
+		t.Logf("pass %d: merged %d of the eager stack's %d support points (%.1f %%)", n+1, lazy, eager, 100*share)
+		if share > 0.30 {
+			t.Errorf("levels merged %.1f %% of the eager stack's support points, want at most 30 %%", 100*share)
+		}
+	}
+}

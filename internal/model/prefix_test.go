@@ -193,3 +193,238 @@ func TestStackCostMatchesBrute(t *testing.T) {
 			cost, costSpot, eMin, brute.Cost, brute.CostSpot, brute.EMinRatio)
 	}
 }
+
+// eagerStack is the prefix stack as it was before levels merged on
+// demand: Push merges the whole level at once. It is the reference the
+// lazy stack must match, walk for walk, to the bit.
+type eagerStack struct{ steps []eagerStep }
+
+type eagerStep struct {
+	vals, tail []float64
+	costSpot   float64
+}
+
+func newEagerStack() *eagerStack {
+	return &eagerStack{steps: []eagerStep{{tail: []float64{1}}}}
+}
+
+// push places pg and reports how many support points its level merged.
+func (s *eagerStack) push(pg *PreparedGroup) int {
+	top := s.steps[len(s.steps)-1]
+	xs, vs := top.vals, top.tail
+	gx, gv := pg.ratioStep()
+	ox, ov := make([]float64, len(xs)+len(gx)), make([]float64, len(xs)+len(gx)+1)
+	i, j, k := 0, 0, 0
+	for ; i < len(xs) && j < len(gx); k++ {
+		ov[k] = vs[i] * gv[j]
+		next := xs[i]
+		switch g := gx[j]; {
+		case next < g:
+			i++
+		case g < next:
+			next = g
+			j++
+		default:
+			i++
+			j++
+		}
+		ox[k] = next
+	}
+	for ; i < len(xs); i, k = i+1, k+1 {
+		ox[k], ov[k] = xs[i], vs[i]*gv[j]
+	}
+	for ; j < len(gx); j, k = j+1, k+1 {
+		ox[k], ov[k] = gx[j], vs[i]*gv[j]
+	}
+	ov[k] = vs[i] * gv[j]
+	s.steps = append(s.steps, eagerStep{ox[:k], ov[:k+1], top.costSpot + pg.costSpot})
+	return k
+}
+
+func (s *eagerStack) pop() { s.steps = s.steps[:len(s.steps)-1] }
+
+func (s *eagerStack) leafCost(last *PreparedGroup, odT, rate, limit float64) (cost float64, within bool) {
+	top := s.steps[len(s.steps)-1]
+	costSpot := top.costSpot + last.costSpot
+	if costSpot > limit {
+		return costSpot, false
+	}
+	xs, vs := top.vals, top.tail
+	gx, gv := last.ratioStep()
+	i, j := 0, 0
+	prev, e := 0.0, 0.0
+	for i < len(xs) && j < len(gx) {
+		prod := vs[i] * gv[j]
+		next := xs[i]
+		switch g := gx[j]; {
+		case next < g:
+			i++
+		case g < next:
+			next = g
+			j++
+		default:
+			i++
+			j++
+		}
+		e += (next - prev) * prod
+		prev = next
+		if costSpot+e*odT*rate > limit {
+			return costSpot + e*odT*rate, false
+		}
+	}
+	rx, rv, hold := xs[i:], vs[i:], gv[j]
+	if j < len(gx) {
+		rx, rv, hold = gx[j:], gv[j:], vs[i]
+	}
+	for k, x := range rx {
+		e += (x - prev) * (rv[k] * hold)
+		prev = x
+		if costSpot+e*odT*rate > limit {
+			return costSpot + e*odT*rate, false
+		}
+	}
+	return costSpot + e*odT*rate, true
+}
+
+// checkStackOps drives the lazy stack s and the eager reference through
+// one sequence of pushes, leaves and pops read off ops, and requires every
+// leaf's (cost, within) bits to agree. A byte's low two bits pick the
+// operation (push, push, leaf, pop), the next three the group, the top
+// three the leaf's limit: the full cost, one ulp above or below it, well
+// below it, the spot-cost sum, +Inf, 0, or midway. s must be empty and
+// sized for at least depth pushes.
+func checkStackOps(t *testing.T, s *PrefixStack, groups []*PreparedGroup, depth int, odT, rate float64, ops []byte) {
+	t.Helper()
+	ref := newEagerStack()
+	defer func() {
+		for len(ref.steps) > 1 {
+			ref.pop()
+			s.Pop()
+		}
+	}()
+	for n, b := range ops {
+		pg := groups[int(b>>2&7)%len(groups)]
+		switch b & 3 {
+		case 0, 1:
+			if len(ref.steps) <= depth {
+				ref.push(pg)
+				s.Push(pg)
+			}
+		case 3:
+			if len(ref.steps) > 1 {
+				ref.pop()
+				s.Pop()
+			}
+		case 2:
+			full, _ := ref.leafCost(pg, odT, rate, math.Inf(1))
+			spot := ref.steps[len(ref.steps)-1].costSpot + pg.costSpot
+			limit := [8]float64{
+				full, math.Nextafter(full, math.Inf(1)), math.Nextafter(full, 0),
+				spot + (full-spot)/8, spot, math.Inf(1), 0, (spot + full) / 2,
+			}[b>>5]
+			want, wantWithin := ref.leafCost(pg, odT, rate, limit)
+			got, within := s.LeafCost(pg, odT, rate, limit)
+			if within != wantWithin || math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("op %d (depth %d, limit %v, full %v): lazy (%v %#x, %v), eager (%v %#x, %v)",
+					n, len(ref.steps)-1, limit, full, got, math.Float64bits(got), within, want, math.Float64bits(want), wantWithin)
+			}
+			if within != (full <= limit) {
+				t.Fatalf("op %d: limit %v against full cost %v: within %v", n, limit, full, within)
+			}
+		}
+	}
+}
+
+// randomStep builds a group with a random survival step on a coarse
+// lattice, so support points coincide across groups: up to 24 points in
+// (0, 2], sometimes a leading 0, a non-increasing tail from 1 that ends on
+// 0 or on a small residue.
+func randomStep(rng *stats.RNG) *PreparedGroup {
+	pg := &PreparedGroup{costSpot: rng.Float64() * 4, ratioTail: []float64{1}}
+	if rng.Intn(3) == 0 {
+		pg.ratioVals = append(pg.ratioVals, 0)
+		pg.ratioTail = append(pg.ratioTail, 1-rng.Float64()/8)
+	}
+	x, tail := 0, pg.ratioTail[len(pg.ratioTail)-1]
+	for n := rng.Intn(25); n > 0 && x < 32; n-- {
+		x += 1 + rng.Intn(3)
+		tail *= rng.Float64()
+		pg.ratioVals = append(pg.ratioVals, float64(x)/16)
+		pg.ratioTail = append(pg.ratioTail, tail)
+	}
+	if rng.Intn(2) == 0 {
+		pg.ratioTail[len(pg.ratioTail)-1] = 0
+	}
+	return pg
+}
+
+// checkRandomStack builds one to six random groups and the odT and rate
+// from seed, then runs ops through checkStackOps on a stack of depth 4;
+// an odd seed sizes the stack for no group, so every level grows its
+// buffers on Push.
+func checkRandomStack(t *testing.T, seed uint64, ops []byte) {
+	t.Helper()
+	rng := stats.NewRNG(seed)
+	groups := make([]*PreparedGroup, 1+rng.Intn(6))
+	for i := range groups {
+		groups[i] = randomStep(rng)
+	}
+	const depth = 4
+	var s *PrefixStack
+	if seed%2 == 1 {
+		s = NewPrefixStack(nil, depth)
+	} else {
+		s = NewPrefixStack([][]*PreparedGroup{groups}, depth)
+	}
+	checkStackOps(t, s, groups, depth, 1+rng.Float64()*50, 0.25+rng.Float64()*3, ops)
+}
+
+// FuzzPrefixStack is the differential gate between the lazy stack and
+// the eager one it replaced: random groups, random push/leaf/pop
+// sequences, limits at, one ulp either side of and well below each
+// leaf's full cost.
+func FuzzPrefixStack(f *testing.F) {
+	f.Add(uint64(1), []byte{0, 4, 8, 2, 34, 66, 98, 130, 3, 12, 2, 162, 194, 226})
+	f.Add(uint64(2), []byte{0, 1, 4, 98, 2, 226, 3, 3, 8, 12, 16, 66, 34, 7, 11, 194, 2})
+	f.Add(uint64(43), []byte("882"))
+	f.Add(uint64(42), []byte{0, 5, 9, 13, 98, 98, 34, 66, 3, 17, 2, 2, 130, 162})
+	f.Fuzz(checkRandomStack)
+}
+
+// TestStackMatchesEagerReference runs the fuzz target's check over a
+// fixed sweep: random groups under 400 seeds, and real prepared groups
+// from one market's grid, with operation sequences long enough that cut
+// leaves leave levels half merged beneath later leaves.
+func TestStackMatchesEagerReference(t *testing.T) {
+	rng := stats.NewRNG(9)
+	ops := func() []byte {
+		b := make([]byte, 64)
+		for i := range b {
+			b[i] = byte(rng.Intn(256))
+		}
+		return b
+	}
+	for seed := uint64(0); seed < 400; seed++ {
+		checkRandomStack(t, seed, ops())
+	}
+	m := testMarket(5)
+	od := NewOnDemand(app.LAMMPS(128), cloud.CC28XLarge)
+	var groups []*PreparedGroup
+	for _, it := range cloud.DefaultCatalog() {
+		for _, zone := range cloud.DefaultZones() {
+			g := NewGroup(app.LAMMPS(128), it, zone, m.Trace(it.Name, zone))
+			for _, f := range []float64{1, 0.25} {
+				groups = append(groups, Prepare(GroupPlan{Group: g, Bid: g.MaxBid() * f, Interval: 3}))
+			}
+		}
+	}
+	const depth = 3
+	s := NewPrefixStack([][]*PreparedGroup{groups}, depth)
+	for trial := 0; trial < 40; trial++ {
+		sub := make([]*PreparedGroup, 8)
+		for i, gi := range rng.Perm(len(groups))[:len(sub)] {
+			sub[i] = groups[gi]
+		}
+		checkStackOps(t, s, sub, depth, od.T, od.Rate(), ops())
+	}
+}
