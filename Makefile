@@ -81,8 +81,11 @@ cluster-smoke:
 # fails exactly when it fails; model.Prepare's O(T) walk matches the
 # sort-based reference to the bit on any group Plan.Validate admits; the
 # on-demand PrefixStack prices every leaf of any push/leaf/pop sequence
-# to the eager stack's (cost, within) bits.
-# (go test -fuzz takes one target per invocation; ten targets.)
+# to the eager stack's (cost, within) bits; the one-pass /v1/prices
+# scanner applies exactly the ticks, and fails with exactly the error
+# text, of encoding/json on any body read whole, a byte at a time or in
+# halves.
+# (go test -fuzz takes one target per invocation; eleven targets.)
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test ./internal/store -run '^$$' -fuzz 'FuzzDecodeRecord' -fuzztime $(FUZZTIME)
@@ -95,6 +98,7 @@ fuzz:
 	$(GO) test ./internal/serve -run '^$$' -fuzz 'FuzzDurableEncode' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/model -run '^$$' -fuzz 'FuzzPrepare' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/model -run '^$$' -fuzz 'FuzzPrefixStack' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/serve -run '^$$' -fuzz 'FuzzScanTicks' -fuzztime $(FUZZTIME)
 
 # Same gates as running serve-smoke, tournament-smoke, tournament-golden,
 # replay-smoke and cluster-smoke one by one; the three process smokes

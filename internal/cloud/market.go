@@ -9,9 +9,7 @@ import (
 	"sort"
 	"strings"
 	"sync/atomic"
-	"time"
 
-	"sompi/internal/obs"
 	"sompi/internal/stats"
 	"sompi/internal/trace"
 )
@@ -164,17 +162,11 @@ type Market struct {
 	// safe against concurrent appends.
 	retainBits atomic.Uint64
 
-	// collector, when set, records one "market.append_batch" span per
-	// AppendBatch. An atomic pointer so SetCollector is safe against
-	// in-flight appends; nil (the default) keeps the ingest path free of
-	// clock reads.
-	collector atomic.Pointer[obs.Collector]
-
 	// persistBatch, when set, is the durability hook: every append logs
 	// its run of ticks through it in one call (group commit), under the
 	// target shard's write lock, before the in-memory apply. An atomic
-	// pointer for the same reason as collector; nil (the default) keeps
-	// the market pure in-memory.
+	// pointer so SetPersistBatch is safe against in-flight appends; nil
+	// (the default) keeps the market pure in-memory.
 	persistBatch atomic.Pointer[PersistBatchFunc]
 }
 
@@ -281,13 +273,6 @@ func (m *Market) Retention() float64 {
 	return math.Float64frombits(m.retainBits.Load())
 }
 
-// SetCollector installs (or, with nil, removes) a span collector: every
-// subsequent AppendBatch records a "market.append_batch" span with the
-// shard key, applied tick count and shard version. Safe to call
-// concurrently with ingestion; without a collector the append path
-// performs no clock reads.
-func (m *Market) SetCollector(c *obs.Collector) { m.collector.Store(c) }
-
 // SetPersistBatch installs (or, with nil, removes) the durability hook.
 // Safe to call concurrently with ingestion; appends in flight when the
 // hook is installed may complete without it.
@@ -341,11 +326,6 @@ func (m *Market) Append(key MarketKey, samples []float64) (uint64, error) {
 // composite version (each applied tick bumps it by 1, exactly as
 // Append would).
 func (m *Market) AppendBatch(key MarketKey, ticks [][]float64) (int, uint64, error) {
-	col := m.collector.Load()
-	var start time.Time
-	if col != nil {
-		start = time.Now()
-	}
 	s, ok := m.shards[key]
 	if !ok {
 		return 0, m.Version(), fmt.Errorf("%w: %v", ErrUnknownMarket, key)
@@ -354,16 +334,10 @@ func (m *Market) AppendBatch(key MarketKey, ticks [][]float64) (int, uint64, err
 	if p := m.persistBatch.Load(); p != nil {
 		persist = *p
 	}
-	applied, sv, err := s.appendBatch(ticks, m.Retention(), persist)
+	applied, err := s.appendBatch(ticks, m.Retention(), persist)
 	version := m.Version()
 	if applied > 0 {
 		version = m.base + m.ticks.Add(uint64(applied))
-	}
-	if col != nil {
-		col.RecordSpan("market.append_batch", start,
-			obs.Attr{Key: "market", Value: key.String()},
-			obs.Attr{Key: "ticks", Value: fmt.Sprint(applied)},
-			obs.Attr{Key: "shard_version", Value: fmt.Sprint(sv)})
 	}
 	return applied, version, err
 }

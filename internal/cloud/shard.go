@@ -84,17 +84,13 @@ func (s *shard) currentTrace() *trace.Trace {
 // snapshots their barrier: a snapshot cut after this append's WAL write
 // cannot capture the shard until the apply lands.
 //
-// Returns the number of ticks applied and the shard's resulting
-// version; a partial apply returns both the applied count and the
-// error.
-func (s *shard) appendBatch(ticks [][]float64, retainHours float64, persist PersistBatchFunc) (int, uint64, error) {
+// Returns the number of ticks applied; a partial apply returns both the
+// applied count and the error.
+func (s *shard) appendBatch(ticks [][]float64, retainHours float64, persist PersistBatchFunc) (int, error) {
 	for t, samples := range ticks {
 		for i, p := range samples {
 			if p < 0 || math.IsNaN(p) || math.IsInf(p, 0) {
-				s.mu.RLock()
-				v := s.version
-				s.mu.RUnlock()
-				return 0, v, fmt.Errorf("%w: tick %d sample %d for %v is not a price: %v", ErrBadSample, t, i, s.key, p)
+				return 0, fmt.Errorf("%w: tick %d sample %d for %v is not a price: %v", ErrBadSample, t, i, s.key, p)
 			}
 		}
 	}
@@ -114,7 +110,7 @@ func (s *shard) appendBatch(ticks [][]float64, retainHours float64, persist Pers
 	for _, samples := range ticks[:apply] {
 		s.applyLocked(samples, retainHours)
 	}
-	return apply, s.version, persistErr
+	return apply, persistErr
 }
 
 // applyLocked performs the in-memory append; the caller holds the write

@@ -167,7 +167,7 @@ func (c *Collector) newSpan(name string, parent *Span) *Span {
 
 // RecordSpan records an already-completed span directly — for
 // instrumentation points that have a start time but no context to thread
-// (e.g. cloud.Market.Append, which is called from the ingest hot path).
+// (e.g. the snapshot cut and recovery, which run outside any request).
 func (c *Collector) RecordSpan(name string, start time.Time, attrs ...Attr) {
 	if c == nil {
 		return

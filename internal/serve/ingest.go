@@ -1,11 +1,13 @@
 package serve
 
 import (
+	"context"
 	"errors"
 	"sync"
 	"time"
 
 	"sompi/internal/cloud"
+	"sompi/internal/obs"
 )
 
 // This file is the ingest apply path: handlePrices stages a tick stream
@@ -69,13 +71,14 @@ func newIngester(s *Server, queueCap int) *ingester {
 // already know about its ticks. It reports how many leading ticks
 // landed, the market's composite version after them, and the durability
 // error on a partial apply. key was validated before staging, so it
-// names one of the market's shards.
+// names one of the market's shards. The append is a market.append_batch
+// span under the request's span in ctx.
 //
 // A full shard gets a short grace period (the batches ahead may be
 // about to finish), then the typed backlog error — the client's signal
 // to slow down. A slot waiter holds the read lock for at most that
 // grace, so stop never waits long on a batch that will not apply.
-func (i *ingester) apply(key cloud.MarketKey, ticks [][]float64) (int, uint64, error) {
+func (i *ingester) apply(ctx context.Context, key cloud.MarketKey, ticks [][]float64) (int, uint64, error) {
 	start := time.Now()
 	i.mu.RLock()
 	defer i.mu.RUnlock()
@@ -100,7 +103,13 @@ func (i *ingester) apply(key cloud.MarketKey, ticks [][]float64) (int, uint64, e
 	// Everything else holding a slot is ahead of this batch: one of them
 	// applying, the rest waiting for the shard lock.
 	s.met.noteQueueDepth(int64(len(slot) - 1))
+	_, sp := obs.StartSpan(ctx, "market.append_batch")
 	applied, version, err := s.market.AppendBatch(key, ticks)
+	sp.AttrStr("market", key.String())
+	sp.AttrInt("ticks", int64(applied))
+	sp.AttrInt("market_version", int64(version))
+	sp.Fail(err)
+	sp.End()
 	if applied > 0 {
 		s.met.ingestTicks.Add(int64(applied))
 		samples := 0

@@ -11,6 +11,8 @@ import (
 	"testing"
 	"time"
 
+	"sompi/internal/cloud"
+	"sompi/internal/obs"
 	"sompi/internal/serve"
 )
 
@@ -81,8 +83,8 @@ func TestExplainQueryReturnsTrail(t *testing.T) {
 }
 
 // TestDebugTraceEndpoint: the span ring must surface a plan request's
-// full trace — HTTP root span plus the optimizer stage spans — filtered
-// by its request ID.
+// full trace — HTTP root span plus the optimizer stage spans — and an
+// ingest request's shard append under its root, filtered by request ID.
 func TestDebugTraceEndpoint(t *testing.T) {
 	ts := newTestServer(t, serve.Config{})
 	payload, _ := json.Marshal(smallPlan(60))
@@ -136,6 +138,31 @@ func TestDebugTraceEndpoint(t *testing.T) {
 	}
 	if !parented {
 		t.Fatalf("opt.optimize is not parented under http.plan: %+v", tr.Spans)
+	}
+
+	// An ingest request's shard append is part of its trace, under its
+	// http.prices root.
+	tick, _ := json.Marshal(serve.PriceTick{Type: cloud.M1Medium.Name, Zone: cloud.ZoneA, Prices: []float64{0.05}})
+	httpReq, _ = http.NewRequest(http.MethodPost, ts.URL+"/v1/prices", bytes.NewReader(tick))
+	httpReq.Header.Set("X-Request-Id", "trace-test-prices")
+	if resp, err = http.DefaultClient.Do(httpReq); err != nil {
+		t.Fatalf("prices: %v", err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("prices: %d", resp.StatusCode)
+	}
+	var ingest serve.TraceResponse
+	if err := json.Unmarshal(getBody(t, ts.URL+"/debug/trace?request_id=trace-test-prices"), &ingest); err != nil {
+		t.Fatalf("unmarshal ingest trace: %v", err)
+	}
+	spans := map[string]obs.SpanData{}
+	for _, sp := range ingest.Spans {
+		spans[sp.Name] = sp
+	}
+	root, batch := spans["http.prices"], spans["market.append_batch"]
+	if root.SpanID == 0 || batch.SpanID == 0 || batch.ParentID != root.SpanID {
+		t.Fatalf("market.append_batch is not parented under http.prices: %+v", ingest.Spans)
 	}
 
 	// limit caps the returned slice; a malformed limit is a client error.

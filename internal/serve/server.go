@@ -116,6 +116,8 @@ type Server struct {
 	// versionKeys is the market's shard list in audit-record order (see
 	// newVersionKeys).
 	versionKeys []versionKey
+	// tickNames interns the market's type and zone names for scanTicks.
+	tickNames map[string]string
 
 	// runCtx is the server-lifecycle context every asynchronous
 	// re-optimization runs under: a client disconnecting mid-feed must
@@ -178,10 +180,10 @@ func New(cfg Config) (*Server, error) {
 		log:      cfg.Logger,
 	}
 	s.versionKeys = newVersionKeys(cfg.Market)
+	s.tickNames = internNames(cfg.Market.Keys())
 	if s.col == nil {
 		s.col = obs.NewCollector(cfg.TraceRing)
 	}
-	s.market.SetCollector(s.col)
 	s.met.init(cfg.Market.Keys())
 	if s.window == 0 {
 		s.window = opt.DefaultWindow
@@ -873,7 +875,7 @@ func (s *Server) handlePrices(w http.ResponseWriter, r *http.Request) {
 			return nil
 		}
 		delete(staged, key)
-		applied, version, err := s.ing.apply(key, ticks)
+		applied, version, err := s.ing.apply(r.Context(), key, ticks)
 		resp.Ticks += applied
 		for _, t := range ticks[:applied] {
 			resp.Samples += len(t)
@@ -917,7 +919,7 @@ func (s *Server) handlePrices(w http.ResponseWriter, r *http.Request) {
 		return firstErr
 	}
 
-	if err := forEachTick(json.NewDecoder(r.Body), func() int { return ticksSeen }, stage); err != nil {
+	if err := scanTicks(r.Body, s.tickNames, func() int { return ticksSeen }, stage); err != nil {
 		// Ticks staged before the error still apply: a feed lands up to
 		// its first bad tick, which is the position the error reports.
 		flushAll()
@@ -1007,17 +1009,16 @@ func writeIngestError(w http.ResponseWriter, err error) {
 // exists because json.Unmarshal happily decodes null (and array
 // elements like it) into a zero PriceTick, which the fuzz harness
 // surfaced as misleading unknown-market errors for feeds that were
-// malformed, not mistargeted.
+// malformed, not mistargeted. handlePrices reaches it through scanTicks,
+// which hands it the stream from the first element outside the
+// canonical tick shape on.
 func forEachTick(dec *json.Decoder, applied func() int, apply func(PriceTick) error) error {
 	applyOne := func(raw json.RawMessage) error {
 		tick, err := decodeTick(raw)
 		if err != nil {
 			return fmt.Errorf("%w: after %d ticks: %v", opt.ErrInvalidConfig, applied(), err)
 		}
-		if err := apply(tick); err != nil {
-			return fmt.Errorf("after %d ticks: %w", applied(), err)
-		}
-		return nil
+		return applyTick(tick, applied, apply)
 	}
 	for {
 		var raw json.RawMessage
@@ -1042,6 +1043,14 @@ func forEachTick(dec *json.Decoder, applied func() int, apply func(PriceTick) er
 			return err
 		}
 	}
+}
+
+// applyTick applies one decoded tick, positioning its failure in the feed.
+func applyTick(tick PriceTick, applied func() int, apply func(PriceTick) error) error {
+	if err := apply(tick); err != nil {
+		return fmt.Errorf("after %d ticks: %w", applied(), err)
+	}
+	return nil
 }
 
 // decodeTick decodes one stream element, insisting it is a JSON object.

@@ -13,9 +13,20 @@
 # last stdout line (the driver's JSON) is printed as it lands, prefixed
 # "pair side seed", so `| tee runs.txt` keeps every run made. The summary
 # then gives, per end-to-end metric of BENCHMARK.json: both sides'
-# medians, the median and range of the per-pair ratios change/parent, and
-# how many pairs the change won. Refuses to start beside another sompid:
-# a run sharing the machine is a run to throw away.
+# medians and quartiles, the median and range of the per-pair ratios
+# change/parent, how many pairs the change won, and a verdict by ROADMAP's
+# measurement rule, with the metric's bound from the manifest:
+#
+#     gain        >= 9/10 wins, and the medians differ by more than the
+#                 parent's interquartile range
+#     worse       the change's median is past the parent's by more than
+#                 the bound
+#     unresolved  either side's interquartile range, over the parent's
+#                 median, is wider than the bound
+#     flat        otherwise
+#
+# Refuses to start beside another sompid: a run sharing the machine is a
+# run to throw away.
 set -eu
 
 if [ $# -lt 3 ] || [ $# -gt 4 ]; then
@@ -74,9 +85,9 @@ while [ "$i" -le "$pairs" ]; do
 	i=$((i + 1))
 done
 
-# The metric list and each metric's direction come from the manifest's
-# end_to_end section (one key per line), so the script cannot drift from
-# what the driver gates.
+# The metric list and each metric's direction and bound come from the
+# manifest's end_to_end section (one key per line), so the script cannot
+# drift from what the driver gates.
 awk -v workload="$workload" '
 function metric(line, name,    at, rest) {
 	at = index(line, "\"" name "\":{\"value\":")
@@ -92,17 +103,22 @@ function field(line, name,    at, rest) {
 	match(rest, /^[a-z0-9]+/)
 	return substr(rest, 1, RLENGTH)
 }
-function median(a, n,    i, j, t, s) {
+# quantile interpolates linearly between the order statistics, so q = 0.5
+# is the median.
+function quantile(a, n, q,    i, j, t, s, at, lo) {
 	for (i = 1; i <= n; i++) s[i] = a[i]
 	for (i = 2; i <= n; i++)
 		for (j = i; j > 1 && s[j] < s[j-1]; j--) { t = s[j]; s[j] = s[j-1]; s[j-1] = t }
-	return n % 2 ? s[(n+1)/2] : (s[n/2] + s[n/2+1]) / 2
+	at = 1 + q * (n - 1); lo = int(at)
+	return lo < n ? s[lo] + (at - lo) * (s[lo+1] - s[lo]) : s[n]
 }
+function abs(x) { return x < 0 ? -x : x }
 FNR == NR {
 	if ($0 ~ /"end_to_end"/) inside = 1
 	else if (inside && $0 ~ /\]/) inside = 0
 	else if (inside && $1 == "\"name\":") { gsub(/[",]/, "", $2); names[++m] = $2 }
 	else if (inside && $1 == "\"better\":") { gsub(/[",]/, "", $2); better[names[m]] = $2 }
+	else if (inside && $1 == "\"bound\":") { gsub(/[",]/, "", $2); bound[names[m]] = $2 + 0 }
 	next
 }
 {
@@ -114,8 +130,8 @@ FNR == NR {
 	for (k = 1; k <= m; k++) v[side, names[k], pair] = metric(json, names[k])
 }
 END {
-	printf "\n%s: %d pairs, ratios are change/parent\n", workload, n
-	printf "%-18s %12s %12s %9s %19s %7s\n", "metric", "parent med", "change med", "ratio med", "ratio range", "wins"
+	printf "\n%s: %d pairs, ratios are change/parent, quartiles in brackets\n", workload, n
+	printf "%-18s %27s %27s %9s %19s %7s  %s\n", "metric", "parent med [q1-q3]", "change med [q1-q3]", "ratio med", "ratio range", "wins", "verdict"
 	for (k = 1; k <= m; k++) {
 		name = names[k]; wins = 0; lo = hi = 0
 		for (p = 1; p <= n; p++) {
@@ -125,8 +141,16 @@ END {
 			if (p == 1 || r[p] > hi) hi = r[p]
 			if (better[name] == "higher" ? b[p] > a[p] : b[p] < a[p]) wins++
 		}
-		printf "%-18s %12.4g %12.4g %9.3f %9.3f-%-9.3f %4d/%d  (%s is better)\n",
-			name, median(a, n), median(b, n), median(r, n), lo, hi, wins, n, better[name]
+		pm = quantile(a, n, 0.5); pq1 = quantile(a, n, 0.25); pq3 = quantile(a, n, 0.75)
+		cm = quantile(b, n, 0.5); cq1 = quantile(b, n, 0.25); cq3 = quantile(b, n, 0.75)
+		# gap > 0: the change median is on the better side of the parent median.
+		gap = better[name] == "higher" ? cm - pm : pm - cm
+		if (10 * wins >= 9 * n && gap > pq3 - pq1) verdict = "gain"
+		else if (-gap > bound[name] * abs(pm)) verdict = "worse"
+		else if (pq3 - pq1 > bound[name] * abs(pm) || cq3 - cq1 > bound[name] * abs(pm)) verdict = "unresolved"
+		else verdict = "flat"
+		printf "%-18s %10.4g [%6.4g-%-6.4g] %10.4g [%6.4g-%-6.4g] %9.3f %9.3f-%-9.3f %4d/%d  %-10s (%s is better, bound %g)\n",
+			name, pm, pq1, pq3, cm, cq1, cq3, quantile(r, n, 0.5), lo, hi, wins, n, verdict, better[name], bound[name]
 	}
 	printf "failed operations: parent %d of %d, change %d of %d; runs not correct: parent %d, change %d\n",
 		failed["parent"], attempted["parent"], failed["change"], attempted["change"], wrong["parent"], wrong["change"]
