@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race serve-smoke tournament-smoke tournament-golden replay-smoke cluster-smoke fuzz check obs-bench
+.PHONY: all build vet test race serve-smoke tournament-smoke tournament-golden replay-smoke cluster-smoke fuzz check
 
 all: check
 
@@ -106,11 +106,3 @@ fuzz:
 check: build vet race tournament-smoke tournament-golden
 	$(GO) test -C bench ./...
 	$(SMOKE) serve replay cluster
-
-# Observability overhead gate: the κ-subset search with tracing disabled
-# (no collector in context) must stay within 2% of the serial-pruned
-# ns/op recorded in BENCH_opt.json. SKIPPED, not passed, on a machine
-# shaped unlike the one that recorded it; `$(SMOKE) obs-baseline`
-# rewrites the file here.
-obs-bench:
-	$(SMOKE) obs

@@ -7,8 +7,6 @@
 //	                      full-speed sustained load
 //	smoke cluster         2-node ownership split, single ≡ cluster
 //	                      twin-diff, SIGKILL failover
-//	smoke obs             disabled-tracing overhead vs BENCH_opt.json
-//	smoke obs-baseline    rewrite BENCH_opt.json on this machine
 //
 // `smoke serve replay cluster` builds sompid and sompi-replay once for
 // all three. Every stage boots real processes through internal/harness
@@ -17,7 +15,6 @@
 package main
 
 import (
-	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -36,12 +33,6 @@ const (
 	smokeSeed  = 7
 )
 
-// skipped is the error a stage returns when its gate cannot fire on this
-// machine: reported as SKIPPED, never as PASS, and not a failure.
-type skipped string
-
-func (s skipped) Error() string { return string(s) }
-
 type stage struct {
 	name string
 	run  func(*env) error
@@ -51,8 +42,6 @@ var stages = []stage{
 	{"serve", serveStage},
 	{"replay", replayStage},
 	{"cluster", clusterStage},
-	{"obs", obsStage},
-	{"obs-baseline", obsBaselineStage},
 }
 
 // env is what the stages share: one scratch directory and the binaries
@@ -137,16 +126,11 @@ func run(names []string) int {
 	e := &env{tmp: tmp, bins: map[string]string{}}
 	for _, i := range picked {
 		e.stage = stages[i].name
-		var skip skipped
-		switch err := stages[i].run(e); {
-		case errors.As(err, &skip):
-			e.say("SKIPPED: %s", skip)
-		case err != nil:
+		if err := stages[i].run(e); err != nil {
 			fmt.Fprintf(os.Stderr, "smoke %s: FAIL: %v\n", e.stage, err)
 			return 1
-		default:
-			e.say("PASS")
 		}
+		e.say("PASS")
 	}
 	return 0
 }

@@ -219,6 +219,29 @@ func TestKappaEvalsGrow(t *testing.T) {
 	}
 }
 
+// TestFig5CommunicationPinned pins fig5's FT and IS rows at tiny() to
+// what they printed when the pin was added: normalized cost of
+// On-demand, Marathe, Marathe-Opt and SOMPI, the communication-intensive
+// ⚠ rows of EXPERIMENTS.md. The paper has SOMPI still saving about 35 %
+// at tight deadlines; here SOMPI falls back to on-demand (1) there, above
+// Marathe. Whether that is a loss is ROADMAP item 1's open question:
+// Marathe's deadline misses are not counted in its cost.
+func TestFig5CommunicationPinned(t *testing.T) {
+	p := tiny()
+	p.Apps = []app.Profile{app.FT(), app.IS()}
+	tab := Fig5(p)
+	c := string(app.Communication)
+	want := [][]string{
+		{"FT", c, "loose", "1", "0.758", "0.758", "0.35"},
+		{"FT", c, "tight", "1", "0.574", "0.574", "1"},
+		{"IS", c, "loose", "1", "0.788", "0.788", "0.293"},
+		{"IS", c, "tight", "1", "0.908", "0.908", "1"},
+	}
+	if fmt.Sprint(tab.Rows) != fmt.Sprint(want) {
+		t.Errorf("fig5 FT/IS rows %v, pinned %v\n%s", tab.Rows, want, tab)
+	}
+}
+
 // TestSlackStudyPinned pins the slack study at tiny() with two runs to
 // the rows it printed when the pin was added: normalized cost, time and
 // miss rate per slack. At this size the curve is flat — all five slacks

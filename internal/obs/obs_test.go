@@ -105,9 +105,10 @@ func TestSpansFilterByTrace(t *testing.T) {
 	}
 }
 
-// TestDisabledPathZeroAlloc is the tentpole's overhead contract: with no
-// collector in the context, starting spans and annotating them allocates
-// nothing at all.
+// TestDisabledPathZeroAlloc is half of the overhead contract (DESIGN §16
+// O1): with no collector in the context, starting spans and annotating
+// them allocates nothing at all. TestOptimizeSpans in internal/opt
+// bounds how many such sites a plan passes.
 func TestDisabledPathZeroAlloc(t *testing.T) {
 	ctx := context.Background()
 	allocs := testing.AllocsPerRun(1000, func() {
@@ -297,8 +298,8 @@ func TestParseLevelFormat(t *testing.T) {
 	}
 }
 
-// BenchmarkSpanDisabled documents the nil fast path's cost; the real
-// budget gate is cmd/smoke's obs stage on the serial pruned search.
+// BenchmarkSpanDisabled documents the nil fast path's cost; what bounds
+// it per plan is internal/opt's TestOptimizeSpans count.
 func BenchmarkSpanDisabled(b *testing.B) {
 	ctx := context.Background()
 	b.ReportAllocs()

@@ -79,7 +79,7 @@ type stageClock struct {
 }
 
 // newStageClock returns nil when both consumers are absent, which is the
-// disabled fast path the -obscheck benchmark budget protects.
+// disabled fast path; TestOptimizeSpans counts the stage spans it opens.
 func newStageClock(ctx context.Context, ex *Explain) *stageClock {
 	if ex == nil && obs.CollectorFrom(ctx) == nil {
 		return nil

@@ -2,6 +2,7 @@ package opt
 
 import (
 	"context"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -144,27 +145,65 @@ func TestExplainDeadlineRejections(t *testing.T) {
 	}
 }
 
+// TestOptimizeSpans holds DESIGN §16 O1 by a count rather than a clock:
+// with a collector installed a plan records exactly 6 + workers spans —
+// opt.optimize, the five stage spans and one opt.search.worker per
+// worker — however many leaves it evaluates. So the disabled path,
+// where every one of those sites is an allocation-free context lookup
+// (TestDisabledPathZeroAlloc; newStageClock is nil), does O(1) of them
+// per plan. The two configs' evaluation counts differ by over 100×; a
+// span site inside the per-unit or per-leaf loops breaks the count.
 func TestOptimizeSpans(t *testing.T) {
-	m := testMarket(5)
-	cfg := smallConfig(m, app.BT(), 60)
-	c := obs.NewCollector(256)
-	ctx, root := obs.StartRoot(context.Background(), c, "http.plan", "req-test")
-	if _, err := OptimizeContext(ctx, cfg); err != nil {
-		t.Fatal(err)
+	bt := app.BT()
+	configs := []struct {
+		name string
+		cfg  Config
+	}{
+		{"small", smallConfig(testMarket(5), bt, 60)},
+		{"default", Config{Profile: bt, Market: testMarket(42), Deadline: FastestOnDemand(nil, bt).T * 1.5}},
 	}
-	root.End()
+	var evals [2]int
+	for i, tc := range configs {
+		for _, workers := range []int{1, 2} {
+			cfg := tc.cfg
+			cfg.Workers = workers
+			c := obs.NewCollector(256)
+			ctx, root := obs.StartRoot(context.Background(), c, "http.plan", "req-test")
+			res, err := OptimizeContext(ctx, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			root.End()
+			if workers == 1 {
+				evals[i] = res.Evals
+			}
 
-	spans := c.Spans("req-test", 0)
-	byName := map[string]int{}
-	for _, sd := range spans {
-		byName[sd.Name]++
-		if sd.TraceID != "req-test" {
-			t.Fatalf("span %s trace %q", sd.Name, sd.TraceID)
+			spans := c.Spans("req-test", 0)
+			byName := map[string]int{}
+			for _, sd := range spans {
+				byName[sd.Name]++
+				if sd.TraceID != "req-test" {
+					t.Fatalf("span %s trace %q", sd.Name, sd.TraceID)
+				}
+			}
+			want := map[string]int{
+				"http.plan":                1,
+				"opt.optimize":             1,
+				"opt.select_on_demand":     1,
+				"opt.enumerate_candidates": 1,
+				"opt.bid_grid":             1,
+				"opt.rank_candidates":      1,
+				"opt.subset_search":        1,
+				"opt.search.worker":        workers,
+			}
+			if fmt.Sprint(byName) != fmt.Sprint(want) {
+				t.Errorf("%s config, %d workers, %d evals: %d spans %v, want 1 + 6 + %d %v",
+					tc.name, workers, res.Evals, len(spans), byName, workers, want)
+			}
 		}
 	}
-	for _, want := range []string{"opt.optimize", "opt.select_on_demand", "opt.bid_grid", "opt.subset_search", "opt.search.worker"} {
-		if byName[want] == 0 {
-			t.Fatalf("no %q span recorded; got %v", want, byName)
-		}
+	t.Logf("evals at one worker: %d and %d", evals[0], evals[1])
+	if evals[1] < 100*evals[0] {
+		t.Fatalf("evals %d and %d differ by less than 100x; the count would not show a per-leaf span", evals[0], evals[1])
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"regexp"
 	"strconv"
@@ -85,67 +86,89 @@ func TestExplainQueryReturnsTrail(t *testing.T) {
 // TestDebugTraceEndpoint: the span ring must surface a plan request's
 // full trace — HTTP root span plus the optimizer stage spans — and an
 // ingest request's shard append under its root, filtered by request ID.
+// A /v1/plan miss records exactly http.plan plus the optimizer's 6 +
+// workers spans at either request size (DESIGN §16 O1, O2).
 func TestDebugTraceEndpoint(t *testing.T) {
 	ts := newTestServer(t, serve.Config{})
-	payload, _ := json.Marshal(smallPlan(60))
-	httpReq, _ := http.NewRequest(http.MethodPost, ts.URL+"/v1/plan", bytes.NewReader(payload))
-	httpReq.Header.Set("Content-Type", "application/json")
-	httpReq.Header.Set("X-Request-Id", "trace-test-1")
-	resp, err := http.DefaultClient.Do(httpReq)
-	if err != nil {
-		t.Fatalf("plan: %v", err)
-	}
-	resp.Body.Close()
-	if got := resp.Header.Get("X-Request-Id"); got != "trace-test-1" {
-		t.Fatalf("response echoed request id %q, want trace-test-1", got)
-	}
-
-	var tr serve.TraceResponse
-	if err := json.Unmarshal(getBody(t, ts.URL+"/debug/trace?request_id=trace-test-1"), &tr); err != nil {
-		t.Fatalf("unmarshal trace: %v", err)
-	}
-	if tr.Total == 0 || len(tr.Spans) == 0 {
-		t.Fatalf("no spans recorded: %+v", tr)
-	}
-	names := map[string]bool{}
-	for _, sp := range tr.Spans {
-		if sp.TraceID != "trace-test-1" {
-			t.Fatalf("span %q leaked from trace %q", sp.Name, sp.TraceID)
+	tracePlan := func(id string, req serve.PlanRequest) ([]obs.SpanData, int) {
+		t.Helper()
+		payload, _ := json.Marshal(req)
+		httpReq, _ := http.NewRequest(http.MethodPost, ts.URL+"/v1/plan", bytes.NewReader(payload))
+		httpReq.Header.Set("Content-Type", "application/json")
+		httpReq.Header.Set("X-Request-Id", id)
+		resp, err := http.DefaultClient.Do(httpReq)
+		if err != nil {
+			t.Fatalf("plan: %v", err)
 		}
-		if sp.SpanID == 0 {
-			t.Fatalf("span %q has no id", sp.Name)
+		var pr serve.PlanResponse
+		json.NewDecoder(resp.Body).Decode(&pr)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK || resp.Header.Get("X-Sompid-Cache") != "miss" {
+			t.Fatalf("plan %s: %d, cache %q; want a 200 miss", id, resp.StatusCode, resp.Header.Get("X-Sompid-Cache"))
 		}
-		names[sp.Name] = true
+		if got := resp.Header.Get("X-Request-Id"); got != id {
+			t.Fatalf("response echoed request id %q, want %s", got, id)
+		}
+		var tr serve.TraceResponse
+		if err := json.Unmarshal(getBody(t, ts.URL+"/debug/trace?request_id="+id), &tr); err != nil {
+			t.Fatalf("unmarshal trace: %v", err)
+		}
+		byName := map[string]int{}
+		for _, sp := range tr.Spans {
+			if sp.TraceID != id {
+				t.Fatalf("span %q leaked from trace %q", sp.Name, sp.TraceID)
+			}
+			if sp.SpanID == 0 {
+				t.Fatalf("span %q has no id", sp.Name)
+			}
+			byName[sp.Name]++
+		}
+		want := map[string]int{
+			"http.plan":                1,
+			"opt.optimize":             1,
+			"opt.select_on_demand":     1,
+			"opt.enumerate_candidates": 1,
+			"opt.bid_grid":             1,
+			"opt.rank_candidates":      1,
+			"opt.subset_search":        1,
+			"opt.search.worker":        req.Workers,
+		}
+		if fmt.Sprint(byName) != fmt.Sprint(want) {
+			t.Fatalf("plan %s: %d spans %v, want 1 + 6 + %d %v", id, len(tr.Spans), byName, req.Workers, want)
+		}
+		return tr.Spans, pr.Evals
 	}
-	for _, want := range []string{"http.plan", "opt.optimize", "opt.subset_search"} {
-		if !names[want] {
-			t.Fatalf("trace is missing span %q (got %v)", want, names)
-		}
+	// The small plan at one worker, then default search knobs at two: a
+	// search over 100x larger, with one more span for the second worker.
+	planSpans, smallEvals := tracePlan("trace-test-1", smallPlan(60))
+	if _, bigEvals := tracePlan("trace-test-big", serve.PlanRequest{App: "BT", DeadlineHours: 60, Workers: 2}); bigEvals < 100*smallEvals {
+		t.Fatalf("plan evals %d and %d differ by less than 100x", smallEvals, bigEvals)
 	}
 
 	// The HTTP root span parents the optimizer spans.
 	var rootID uint64
-	for _, sp := range tr.Spans {
+	for _, sp := range planSpans {
 		if sp.Name == "http.plan" {
 			rootID = sp.SpanID
 		}
 	}
 	parented := false
-	for _, sp := range tr.Spans {
+	for _, sp := range planSpans {
 		if sp.Name == "opt.optimize" && sp.ParentID == rootID {
 			parented = true
 		}
 	}
 	if !parented {
-		t.Fatalf("opt.optimize is not parented under http.plan: %+v", tr.Spans)
+		t.Fatalf("opt.optimize is not parented under http.plan: %+v", planSpans)
 	}
 
 	// An ingest request's shard append is part of its trace, under its
 	// http.prices root.
 	tick, _ := json.Marshal(serve.PriceTick{Type: cloud.M1Medium.Name, Zone: cloud.ZoneA, Prices: []float64{0.05}})
-	httpReq, _ = http.NewRequest(http.MethodPost, ts.URL+"/v1/prices", bytes.NewReader(tick))
+	httpReq, _ := http.NewRequest(http.MethodPost, ts.URL+"/v1/prices", bytes.NewReader(tick))
 	httpReq.Header.Set("X-Request-Id", "trace-test-prices")
-	if resp, err = http.DefaultClient.Do(httpReq); err != nil {
+	resp, err := http.DefaultClient.Do(httpReq)
+	if err != nil {
 		t.Fatalf("prices: %v", err)
 	}
 	resp.Body.Close()

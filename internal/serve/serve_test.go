@@ -339,6 +339,13 @@ func TestMonteCarloEndpoint(t *testing.T) {
 	if status != http.StatusBadRequest {
 		t.Fatalf("zero runs: %d %s, want 400", status, body)
 	}
+	// Workers past the bound are refused before any replay starts, even
+	// where the run count would have capped them.
+	status, _, body = postJSON(t, ts.URL+"/v1/montecarlo",
+		serve.MonteCarloRequest{App: "BT", DeadlineHours: 30, Runs: 1, Workers: 257})
+	if status != http.StatusBadRequest || !strings.Contains(string(body), "257 workers") {
+		t.Fatalf("257 workers: %d %s, want 400", status, body)
+	}
 }
 
 // TestPricesStreamAndErrors covers the NDJSON stream shape, the array

@@ -733,10 +733,19 @@ func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
+// maxMonteCarloWorkers bounds a /v1/montecarlo request's workers, as the
+// sompi strategy's workers param is bounded: the replay starts one
+// goroutine and one partial summary per worker before its timeout can act.
+const maxMonteCarloWorkers = 256
+
 func (s *Server) handleMonteCarlo(w http.ResponseWriter, r *http.Request) {
 	var req MonteCarloRequest
 	if err := decodeBody(r, &req); err != nil {
 		writeError(w, http.StatusBadRequest, err)
+		return
+	}
+	if req.Workers > maxMonteCarloWorkers {
+		writeError(w, http.StatusBadRequest, fmt.Errorf("%w: %d workers, at most %d", replay.ErrInvalidConfig, req.Workers, maxMonteCarloWorkers))
 		return
 	}
 	profile, ok := app.ByName(req.App)
