@@ -219,6 +219,34 @@ func TestKappaEvalsGrow(t *testing.T) {
 	}
 }
 
+// TestKappaStudyPinned pins the κ study at tiny() to the rows it printed
+// when the pin was added: κ, normalized expected cost and evaluations;
+// wall-ms is a clock and stays unpinned. It records the ⚠ of
+// EXPERIMENTS.md: the cost is flat from κ = 1, not falling to κ = 4 as in
+// the paper, while the evaluations grow ~700×. Workers is 1 because with
+// more, Evals depends on how the units are scheduled against the shared
+// incumbent; at one worker it is a pure function of the Config, so a
+// search change that moves which leaves are evaluated moves a row.
+func TestKappaStudyPinned(t *testing.T) {
+	p := tiny()
+	p.Workers = 1
+	tab := Kappa(p)
+	want := [][]string{
+		{"1", "0.363", "96"},
+		{"2", "0.363", "792"},
+		{"3", "0.363", "6307"},
+		{"4", "0.363", "26745"},
+		{"5", "0.363", "65888"},
+	}
+	got := make([][]string, len(tab.Rows))
+	for i, row := range tab.Rows {
+		got[i] = row[:min(3, len(row))]
+	}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Errorf("κ study rows %v, pinned %v\n%s", got, want, tab)
+	}
+}
+
 // TestFig5CommunicationPinned pins fig5's FT and IS rows at tiny() to
 // what they printed when the pin was added: normalized cost of
 // On-demand, Marathe, Marathe-Opt and SOMPI, the communication-intensive

@@ -353,6 +353,9 @@ type PreparedGroup struct {
 	// Ratio distribution: ascending distinct values; ratioTail[j] =
 	// P(Ratio > ratioVals[j-1]) with ratioTail[0] = 1.
 	ratioVals, ratioTail []float64
+	// eRatio is E[Ratio], the one-group EMinRatio to the bit; the prefix
+	// stack's leaf bound multiplies these.
+	eRatio float64
 	// Spot-time distribution: ascending distinct values; timeCDF[j] =
 	// P(SpotTime <= timeVals[j-1]) with timeCDF[0] = 0.
 	timeVals, timeCDF []float64
@@ -415,7 +418,20 @@ func Prepare(gp GroupPlan) *PreparedGroup {
 	}
 	pg.timeVals, pg.timeCDF = times, cdf[:len(times)+1]
 	pg.ratioVals, pg.ratioTail = ratios, tail
+	pg.eRatio = pg.meanRatio()
 	return pg
+}
+
+// meanRatio integrates the group's survival step, ∫ P(Ratio > x) dx over
+// x > 0, with the terms and order expectedMin uses for one group.
+func (pg *PreparedGroup) meanRatio() float64 {
+	vals, tail := pg.ratioStep()
+	prev, e := 0.0, 0.0
+	for j, x := range vals {
+		e += (x - prev) * tail[j]
+		prev = x
+	}
+	return e
 }
 
 // Evaluate computes the expected cost and time of the plan exactly.

@@ -20,6 +20,10 @@ package model
 // passes gets its full Estimate from Evaluator.EvaluatePrepared. A walk
 // LeafCost finishes equals that Estimate's Cost to the bit (DESIGN §6 has
 // the argument). A PrefixStack must not be shared between goroutines.
+//
+// Beside each level's spot-cost sum runs the product of its groups'
+// E[Ratio]: LeafBound prices a leaf from the two alone, a lower bound on
+// its cost that lets the caller reject most leaves before any walk.
 type PrefixStack struct {
 	// steps[0] is the empty product; steps[d] covers the first d pushes.
 	steps []ratioStep
@@ -37,6 +41,8 @@ type ratioStep struct {
 	i, j       int
 	gx, gv     []float64
 	costSpot   float64
+	// eProd is Π E[Ratio_i] over the level's groups, 1 at the empty level.
+	eProd float64
 }
 
 // mergeChunk is how many support points grow merges into a level per call.
@@ -72,7 +78,7 @@ func NewPrefixStack(grid [][]*PreparedGroup, depth int) *PrefixStack {
 	}
 	slab := make([]float64, total)
 	steps := make([]ratioStep, depth+1)
-	steps[0].tail, steps[0].done = []float64{1}, true
+	steps[0].tail, steps[0].done, steps[0].eProd = []float64{1}, true, 1
 	for d := 2; d <= depth; d++ {
 		n := d * points
 		steps[d].vals, slab = slab[:n:n], slab[n:]
@@ -92,6 +98,7 @@ func (s *PrefixStack) Push(pg *PreparedGroup) {
 	below, l := &s.steps[n-1], &s.steps[n]
 	gx, gv := pg.ratioStep()
 	l.costSpot = below.costSpot + pg.costSpot
+	l.eProd = below.eProd * pg.eRatio
 	if n == 1 {
 		// The empty product is 1 and 1·t is exact: the first level is the
 		// group's own step, done as it stands.
@@ -172,6 +179,23 @@ var (
 	pushAudit  func(s *PrefixStack, pg *PreparedGroup)
 	mergeAudit func(points int)
 )
+
+// boundDeflate scales LeafBound down by 2⁻³⁰ relative, far more than the
+// ~1e-13 the walk's and the product's rounding can differ by, so a bound
+// above a limit means the exact cost is above it too.
+const boundDeflate = 1 - 0x1p-30
+
+// LeafBound is a lower bound on LeafCost(last, odT, rate, +Inf), in O(1).
+// Each group's Ratio lies in [0, 1] and its survival P(Ratio_i > x) does
+// not increase there, so Chebyshev's integral inequality for similarly
+// ordered functions gives E[min_i Ratio_i] = ∫₀¹ Π_i P(Ratio_i > x) dx
+// ≥ Π_i ∫₀¹ P(Ratio_i > x) dx = Π_i E[Ratio_i]; DESIGN §6 has the rest.
+// A bound strictly above a limit means LeafCost at that limit would
+// return within false.
+func (s *PrefixStack) LeafBound(last *PreparedGroup, odT, rate float64) float64 {
+	top := &s.steps[len(s.steps)-1]
+	return (top.costSpot + last.costSpot + top.eProd*last.eRatio*odT*rate) * boundDeflate
+}
 
 // LeafCost prices the plan made of the pushed groups followed by last;
 // odT and rate are the recovery fleet's OnDemand.T and Rate(). The walk

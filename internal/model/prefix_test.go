@@ -288,13 +288,21 @@ func (s *eagerStack) leafCost(last *PreparedGroup, odT, rate, limit float64) (co
 
 // checkStackOps drives the lazy stack s and the eager reference through
 // one sequence of pushes, leaves and pops read off ops, and requires every
-// leaf's (cost, within) bits to agree. A byte's low two bits pick the
-// operation (push, push, leaf, pop), the next three the group, the top
-// three the leaf's limit: the full cost, one ulp above or below it, well
-// below it, the spot-cost sum, +Inf, 0, or midway. s must be empty and
-// sized for at least depth pushes.
+// leaf's (cost, within) bits to agree and its LeafBound to be at most its
+// full cost; each group's E[Ratio] must be its one-group EMinRatio to the
+// bit. A byte's low two bits pick the operation (push, push, leaf, pop),
+// the next three the group, the top three the leaf's limit: the full
+// cost, one ulp above or below it, well below it, the spot-cost sum,
+// +Inf, 0, or midway. s must be empty and sized for at least depth
+// pushes.
 func checkStackOps(t *testing.T, s *PrefixStack, groups []*PreparedGroup, depth int, odT, rate float64, ops []byte) {
 	t.Helper()
+	for i, pg := range groups {
+		if want := EvaluatePrepared([]*PreparedGroup{pg}, OnDemand{}).EMinRatio; math.Float64bits(pg.eRatio) != math.Float64bits(want) {
+			t.Fatalf("group %d: E[Ratio] %v (%#x), one-group EMinRatio %v (%#x)",
+				i, pg.eRatio, math.Float64bits(pg.eRatio), want, math.Float64bits(want))
+		}
+	}
 	ref := newEagerStack()
 	defer func() {
 		for len(ref.steps) > 1 {
@@ -331,14 +339,18 @@ func checkStackOps(t *testing.T, s *PrefixStack, groups []*PreparedGroup, depth 
 			if within != (full <= limit) {
 				t.Fatalf("op %d: limit %v against full cost %v: within %v", n, limit, full, within)
 			}
+			if bound := s.LeafBound(pg, odT, rate); !(bound <= full) {
+				t.Fatalf("op %d (depth %d): bound %v (%#x) above the full cost %v (%#x)",
+					n, len(ref.steps)-1, bound, math.Float64bits(bound), full, math.Float64bits(full))
+			}
 		}
 	}
 }
 
 // randomStep builds a group with a random survival step on a coarse
 // lattice, so support points coincide across groups: up to 24 points in
-// (0, 2], sometimes a leading 0, a non-increasing tail from 1 that ends on
-// 0 or on a small residue.
+// (0, 1], the range of a Ratio, sometimes a leading 0, a non-increasing
+// tail from 1 that ends on 0 or on a small residue.
 func randomStep(rng *stats.RNG) *PreparedGroup {
 	pg := &PreparedGroup{costSpot: rng.Float64() * 4, ratioTail: []float64{1}}
 	if rng.Intn(3) == 0 {
@@ -346,22 +358,34 @@ func randomStep(rng *stats.RNG) *PreparedGroup {
 		pg.ratioTail = append(pg.ratioTail, 1-rng.Float64()/8)
 	}
 	x, tail := 0, pg.ratioTail[len(pg.ratioTail)-1]
-	for n := rng.Intn(25); n > 0 && x < 32; n-- {
+	for n := rng.Intn(25); n > 0 && x < 30; n-- {
 		x += 1 + rng.Intn(3)
 		tail *= rng.Float64()
-		pg.ratioVals = append(pg.ratioVals, float64(x)/16)
+		pg.ratioVals = append(pg.ratioVals, float64(x)/32)
 		pg.ratioTail = append(pg.ratioTail, tail)
 	}
 	if rng.Intn(2) == 0 {
 		pg.ratioTail[len(pg.ratioTail)-1] = 0
 	}
+	pg.eRatio = pg.meanRatio()
 	return pg
 }
 
-// checkRandomStack builds one to six random groups and the odT and rate
-// from seed, then runs ops through checkStackOps on a stack of depth 4;
-// an odd seed sizes the stack for no group, so every level grows its
-// buffers on Push.
+// ratioAlways builds a group whose Ratio is r with certainty: r = 1 is a
+// group that always fails before its first checkpoint, r = 0 one that
+// always completes. Either way P(Ratio > x) is constant on (0, 1), the
+// case where Chebyshev's inequality, and so LeafBound, is an equality.
+func ratioAlways(r, costSpot float64) *PreparedGroup {
+	pg := &PreparedGroup{costSpot: costSpot, ratioVals: []float64{r}, ratioTail: []float64{1, 0}}
+	pg.eRatio = pg.meanRatio()
+	return pg
+}
+
+// checkRandomStack builds one to six random groups, a group whose Ratio
+// is always 1 and one whose Ratio is always 0, and the odT and rate from
+// seed, then runs ops through checkStackOps on a stack of depth 4; an odd
+// seed sizes the stack for no group, so every level grows its buffers on
+// Push.
 func checkRandomStack(t *testing.T, seed uint64, ops []byte) {
 	t.Helper()
 	rng := stats.NewRNG(seed)
@@ -369,6 +393,7 @@ func checkRandomStack(t *testing.T, seed uint64, ops []byte) {
 	for i := range groups {
 		groups[i] = randomStep(rng)
 	}
+	groups = append(groups, ratioAlways(1, rng.Float64()*4), ratioAlways(0, rng.Float64()*4))
 	const depth = 4
 	var s *PrefixStack
 	if seed%2 == 1 {
@@ -382,7 +407,7 @@ func checkRandomStack(t *testing.T, seed uint64, ops []byte) {
 // FuzzPrefixStack is the differential gate between the lazy stack and
 // the eager one it replaced: random groups, random push/leaf/pop
 // sequences, limits at, one ulp either side of and well below each
-// leaf's full cost.
+// leaf's full cost. It also holds LeafBound at or below every full cost.
 func FuzzPrefixStack(f *testing.F) {
 	f.Add(uint64(1), []byte{0, 4, 8, 2, 34, 66, 98, 130, 3, 12, 2, 162, 194, 226})
 	f.Add(uint64(2), []byte{0, 1, 4, 98, 2, 226, 3, 3, 8, 12, 16, 66, 34, 7, 11, 194, 2})
@@ -394,7 +419,8 @@ func FuzzPrefixStack(f *testing.F) {
 // TestStackMatchesEagerReference runs the fuzz target's check over a
 // fixed sweep: random groups under 400 seeds, and real prepared groups
 // from one market's grid, with operation sequences long enough that cut
-// leaves leave levels half merged beneath later leaves.
+// leaves leave levels half merged beneath later leaves. Every leaf's
+// LeafBound must be at most its full cost.
 func TestStackMatchesEagerReference(t *testing.T) {
 	rng := stats.NewRNG(9)
 	ops := func() []byte {
@@ -426,5 +452,44 @@ func TestStackMatchesEagerReference(t *testing.T) {
 			sub[i] = groups[gi]
 		}
 		checkStackOps(t, s, sub, depth, od.T, od.Rate(), ops())
+	}
+}
+
+// TestLeafBoundEqualityCases prices leaves that mix a group whose Ratio
+// is always 1 or always 0 with groups that end on no residue: there
+// Chebyshev's inequality is an equality, E[min Ratio] is the product of
+// the E[Ratio]s to the bit, and only the 2⁻³⁰ deflation keeps LeafBound
+// below the cost. The bound must sit below the full cost, within 2⁻²⁹ of
+// it, in every push order.
+func TestLeafBoundEqualityCases(t *testing.T) {
+	one, zero := ratioAlways(1, 1.25), ratioAlways(0, 0.5)
+	rng := stats.NewRNG(17)
+	var plain []*PreparedGroup
+	for len(plain) < 4 {
+		if pg := randomStep(rng); pg.ratioTail[len(pg.ratioTail)-1] == 0 && pg.eRatio > 0 {
+			plain = append(plain, pg)
+		}
+	}
+	od := defaultRecovery()
+	s := NewPrefixStack(nil, 3)
+	leaves := [][]*PreparedGroup{{one}, {zero}, {one, one}, {one, zero}, {zero, one}, {one, one, one}}
+	for _, g := range plain {
+		leaves = append(leaves, []*PreparedGroup{one, g}, []*PreparedGroup{g, one},
+			[]*PreparedGroup{zero, g}, []*PreparedGroup{g, zero}, []*PreparedGroup{one, g, one})
+	}
+	for n, pgs := range leaves {
+		last := pgs[len(pgs)-1]
+		for _, pg := range pgs[:len(pgs)-1] {
+			s.Push(pg)
+		}
+		cost, _ := s.LeafCost(last, od.T, od.Rate(), math.Inf(1))
+		bound := s.LeafBound(last, od.T, od.Rate())
+		for range pgs[:len(pgs)-1] {
+			s.Pop()
+		}
+		if !(bound < cost && cost-bound <= cost*0x1p-29) {
+			t.Errorf("leaf %d: bound %v (%#x) against cost %v (%#x): want just below it",
+				n, bound, math.Float64bits(bound), cost, math.Float64bits(cost))
+		}
 	}
 }

@@ -12,7 +12,8 @@ import (
 // prepareRef is the sort-based derivation Prepare's walk replaced: map
 // each t with mass through Ratio and SpotTime, stable-sort the values,
 // merge adjacent equal ones, then form the survival and CDF arrays from
-// the merged masses. It is the reference Prepare must match to the bit.
+// the merged masses, and E[Ratio] as the reference evaluator's one-group
+// EMinRatio. It is the reference Prepare must match to the bit.
 func prepareRef(gp GroupPlan) *PreparedGroup {
 	d := gp.Group.Dist(gp.Bid)
 	pg := &PreparedGroup{GP: gp, complete: d.Complete()}
@@ -38,6 +39,7 @@ func prepareRef(gp GroupPlan) *PreparedGroup {
 	for j, p := range timeProbs {
 		pg.timeCDF[j+1] = pg.timeCDF[j] + p
 	}
+	pg.eRatio = EvaluatePrepared([]*PreparedGroup{pg}, OnDemand{}).EMinRatio
 	return pg
 }
 
@@ -80,6 +82,7 @@ func samePrepared(got, want *PreparedGroup) string {
 	}{
 		{"costSpot", []float64{got.costSpot}, []float64{want.costSpot}},
 		{"complete", []float64{got.complete}, []float64{want.complete}},
+		{"eRatio", []float64{got.eRatio}, []float64{want.eRatio}},
 		{"ratioVals", got.ratioVals, want.ratioVals},
 		{"ratioTail", got.ratioTail, want.ratioTail},
 		{"timeVals", got.timeVals, want.timeVals},

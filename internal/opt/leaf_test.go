@@ -43,13 +43,13 @@ func planMissDeadlines(r *stats.RNG, strata int) []float64 {
 // the reference evaluator beside every leaf. A leaf the prefix stack
 // walked in full must cost Estimate.Cost to the bit, and one the
 // cost-first test then turned away must be one the reference predicate
-// (cost, deadline, MaxAllFail) would have turned away too. A leaf whose
-// walk stopped at the incumbent must cost strictly more than the limit it
-// was cut against, its partial cost at most that, and it must not be the
-// plan the search returns.
+// (cost, deadline, MaxAllFail) would have turned away too. A leaf cut at
+// the incumbent, by its O(1) bound or partway through its walk, must cost
+// strictly more than the limit it was cut against, its bound or partial
+// cost at most that, and it must not be the plan the search returns.
 func TestLeafCostNeverRejectsAnAcceptableLeaf(t *testing.T) {
 	train := planMissMarket()
-	leaves, passed, cut := 0, 0, 0
+	leaves, passed, cut, bounded := 0, 0, 0, 0
 	var ev model.Evaluator
 	var winner []model.GroupPlan
 	leafAudit = func(s *searcher, last *model.PreparedGroup, cost, limit float64, within bool) {
@@ -58,6 +58,9 @@ func TestLeafCostNeverRejectsAnAcceptableLeaf(t *testing.T) {
 		est := ev.EvaluatePrepared(pgs, s.od)
 		if !within {
 			cut++
+			if s.stack.LeafBound(last, s.odT, s.odRate) > limit {
+				bounded++
+			}
 			if !(est.Cost > limit && limit < cost && cost <= est.Cost) {
 				t.Fatalf("subset %v: cut at partial cost %v against limit %v, reference %v", s.subset, cost, limit, est.Cost)
 			}
@@ -123,7 +126,8 @@ func TestLeafCostNeverRejectsAnAcceptableLeaf(t *testing.T) {
 			}
 		}
 	}
-	t.Logf("%d leaves audited: %d stopped at the incumbent, %d passed the cost test and paid for a full estimate", leaves, cut, passed)
+	t.Logf("%d leaves audited: %d cut by bound, %d cut in walk, %d passed the cost test and paid for a full estimate",
+		leaves, bounded, cut-bounded, passed)
 }
 
 // samePlan reports whether pgs prices the same groups, bids and intervals,

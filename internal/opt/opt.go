@@ -906,13 +906,20 @@ func (s *searcher) searchBids(depth int) {
 // passed; cost settles most leaves, so it is priced first, against the
 // prefix stack, and only a leaf that passes pays for the full estimate —
 // which, like the one the Result carries, is the reference evaluator's.
-// The cost walk stops at the shared incumbent (DESIGN §6): a cut leaf
+// A leaf whose O(1) lower bound is already above the shared incumbent is
+// cut before the walk, and the walk stops at it (DESIGN §6): a cut leaf
 // counts in Evals but never meets the unit-local acceptance test.
 func (s *searcher) leaf(last *model.PreparedGroup) {
 	s.evals++
 	limit := math.Inf(1)
 	if !s.cfg.DisablePruning {
 		limit = s.incumbent.load()
+	}
+	if bound := s.stack.LeafBound(last, s.odT, s.odRate); bound > limit {
+		if leafAudit != nil {
+			leafAudit(s, last, bound, limit, false)
+		}
+		return
 	}
 	cost, within := s.stack.LeafCost(last, s.odT, s.odRate, limit)
 	if leafAudit != nil {
@@ -937,9 +944,10 @@ func (s *searcher) leaf(last *model.PreparedGroup) {
 	}
 }
 
-// leafAudit is a test-only observer of every leaf: the limit its walk
-// ran against, and the cost and within the prefix stack returned for it.
-// Nothing outside the package's tests sets it.
+// leafAudit is a test-only observer of every leaf: the limit it was
+// priced against, and the cost and within the prefix stack returned for
+// it — for a leaf cut by its bound, the bound and false. Nothing outside
+// the package's tests sets it.
 var leafAudit func(s *searcher, last *model.PreparedGroup, cost, limit float64, within bool)
 
 // localBound is the acceptance threshold for the current partition: the

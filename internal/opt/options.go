@@ -53,13 +53,6 @@ func WithoutPruning() Option { return func(c *Config) { c.DisablePruning = true 
 // subset). The plan itself is unaffected.
 func WithExplain() Option { return func(c *Config) { c.Explain = true } }
 
-// WithInitialIncumbent seeds the branch-and-bound incumbent with an
-// externally known achievable cost (see Config.InitialIncumbent and
-// WarmBound). The returned plan is bit-identical to a cold search's.
-func WithInitialIncumbent(cost float64) Option {
-	return func(c *Config) { c.InitialIncumbent = cost }
-}
-
 // WithReuse attaches a cross-optimization reuse cache (see Config.Reuse).
 // The plan is unaffected; skipped work lands in Result.SavedEvals.
 func WithReuse(cache *ReuseCache) Option { return func(c *Config) { c.Reuse = cache } }

@@ -95,11 +95,6 @@ func (r *RNG) Exp(rate float64) float64 {
 	return -math.Log(u) / rate
 }
 
-// Bernoulli reports true with probability p (clamped to [0,1]).
-func (r *RNG) Bernoulli(p float64) bool {
-	return r.Float64() < p
-}
-
 // Perm returns a pseudo-random permutation of [0, n).
 func (r *RNG) Perm(n int) []int {
 	p := make([]int, n)
