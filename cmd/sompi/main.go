@@ -114,8 +114,7 @@ func runExplain(args []string) {
 
 	train := m.Window(0, baselines.History)
 	res, err := opt.OptimizeContext(context.Background(),
-		opt.Config{Profile: profile, Market: train, Deadline: dl, Workers: *parallel},
-		opt.WithExplain())
+		opt.Config{Profile: profile, Market: train, Deadline: dl, Workers: *parallel, Explain: true})
 	if err != nil {
 		log.Fatalf("optimization failed: %v", err)
 	}

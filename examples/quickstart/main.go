@@ -33,16 +33,18 @@ func main() {
 
 	// One-shot optimization from the first four days of history. The v1
 	// entry point takes a context (cancel it and the κ-subset search
-	// stops at the next evaluation) and functional options; out-of-range
-	// knobs come back as ErrInvalidConfig, an unmeetable deadline as
-	// ErrDeadlineInfeasible — match them with errors.Is.
+	// stops at the next evaluation) and a Config whose zero fields take
+	// their defaults; out-of-range knobs come back as ErrInvalidConfig,
+	// an unmeetable deadline as ErrDeadlineInfeasible — match them with
+	// errors.Is.
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	res, err := sompi.OptimizeContext(ctx, sompi.Config{
 		Profile:  bt,
 		Market:   market.Window(0, 96),
 		Deadline: deadline,
-	}, sompi.WithKappa(4))
+		Kappa:    4,
+	})
 	switch {
 	case errors.Is(err, sompi.ErrDeadlineInfeasible):
 		log.Fatalf("no fleet meets %.1fh: %v", deadline, err)

@@ -3,7 +3,6 @@ package cloud
 import (
 	"math"
 	"testing"
-	"testing/quick"
 
 	"sompi/internal/trace"
 )
@@ -153,93 +152,5 @@ func TestMarketWindow(t *testing.T) {
 		if d := w.Trace(k.Type, k.Zone).Duration(); math.Abs(d-12) > 2*trace.DefaultStep {
 			t.Fatalf("window duration %v, want ~12", d)
 		}
-	}
-}
-
-func TestBilledHours(t *testing.T) {
-	cases := []struct {
-		policy BillingPolicy
-		in     float64
-		want   float64
-	}{
-		{BillContinuous, 1.5, 1.5},
-		{BillContinuous, 0, 0},
-		{BillContinuous, -3, 0},
-		{BillHourly, 0.1, 1},
-		{BillHourly, 1.0, 1},
-		{BillHourly, 1.0001, 2},
-		{BillHourly, 0, 0},
-	}
-	for _, c := range cases {
-		if got := BilledHours(c.policy, c.in); got != c.want {
-			t.Errorf("BilledHours(%v, %v) = %v, want %v", c.policy, c.in, got, c.want)
-		}
-	}
-}
-
-func TestOnDemandCost(t *testing.T) {
-	got := OnDemandCost(BillContinuous, M1Small, 128, 2)
-	want := 0.044 * 128 * 2
-	if math.Abs(got-want) > 1e-12 {
-		t.Fatalf("OnDemandCost = %v, want %v", got, want)
-	}
-}
-
-func TestSpotCostConstantPrice(t *testing.T) {
-	tr := trace.New(0.5, []float64{0.1, 0.1, 0.1, 0.1})
-	got := SpotCost(tr, 0, 2, 3)
-	if math.Abs(got-0.1*2*3) > 1e-12 {
-		t.Fatalf("SpotCost = %v, want 0.6", got)
-	}
-}
-
-func TestSpotCostFractionalSamples(t *testing.T) {
-	tr := trace.New(1, []float64{0.1, 0.3})
-	// Half an hour at 0.1 plus half an hour at 0.3.
-	got := SpotCost(tr, 0.5, 1, 1)
-	if math.Abs(got-(0.05+0.15)) > 1e-12 {
-		t.Fatalf("SpotCost = %v, want 0.2", got)
-	}
-}
-
-func TestSpotCostPastTraceEnd(t *testing.T) {
-	tr := trace.New(1, []float64{0.2})
-	// Charged at the final sample's price beyond the trace.
-	got := SpotCost(tr, 0, 3, 1)
-	if math.Abs(got-0.6) > 1e-9 {
-		t.Fatalf("SpotCost = %v, want 0.6", got)
-	}
-}
-
-func TestSpotCostZeroDuration(t *testing.T) {
-	tr := trace.New(1, []float64{0.2})
-	if got := SpotCost(tr, 0, 0, 5); got != 0 {
-		t.Fatalf("SpotCost of zero duration = %v", got)
-	}
-}
-
-func TestSpotCostMonotoneInDuration(t *testing.T) {
-	m := GenerateMarket(DefaultCatalog(), DefaultZones(), 48, 5)
-	tr := m.Trace(M1Small.Name, ZoneA)
-	f := func(aRaw, bRaw float64) bool {
-		a := math.Mod(math.Abs(aRaw), 24)
-		b := math.Mod(math.Abs(bRaw), 24)
-		if a > b {
-			a, b = b, a
-		}
-		return SpotCost(tr, 0, a, 1) <= SpotCost(tr, 0, b, 1)+1e-9
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestSpotCostAdditiveInInstances(t *testing.T) {
-	m := GenerateMarket(DefaultCatalog(), DefaultZones(), 48, 6)
-	tr := m.Trace(C3XLarge.Name, ZoneC)
-	one := SpotCost(tr, 3, 7, 1)
-	ten := SpotCost(tr, 3, 7, 10)
-	if math.Abs(ten-10*one) > 1e-9 {
-		t.Fatalf("SpotCost not additive: %v vs 10*%v", ten, one)
 	}
 }

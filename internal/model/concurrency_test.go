@@ -10,19 +10,18 @@ import (
 	"sompi/internal/failure"
 )
 
-// TestGroupCachesConcurrent hammers one shared Group's per-bid caches
-// from many goroutines, mixing cold lookups, warm lookups and a
+// TestGroupCachesConcurrent hammers one shared Group's per-bid cache
+// from many goroutines, mixing on-demand lookups, prewarmed lookups and a
 // concurrent Prewarm. Run under -race this is the proof that the
-// two-tier cache is sound; the value assertions prove every racer sees
+// mutex-held table is sound; the value assertions prove every racer sees
 // the same derived numbers.
 func TestGroupCachesConcurrent(t *testing.T) {
 	m := testMarket(5)
 	g := NewGroup(app.BT(), cloud.M1Medium, cloud.ZoneA, m.Trace(cloud.M1Medium.Name, cloud.ZoneA))
 	bids := []float64{0.02, 0.04, 0.08, 0.16, 0.32, 0.64}
-	g.Prewarm(bids[:3], nil) // half warm, half cold
+	g.Prewarm(bids[:3], nil) // half prewarmed, half filled on demand
 
-	// Reference values computed single-threaded on a cache-equivalent
-	// twin group.
+	// Reference values computed single-threaded on a fresh twin group.
 	ref := resetCache(g)
 	wantPrice := make([]float64, len(bids))
 	wantMTTF := make([]float64, len(bids))
@@ -41,7 +40,7 @@ func TestGroupCachesConcurrent(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			if w == 0 {
-				g.Prewarm(bids, nil) // concurrent re-warm must not disturb readers
+				g.Prewarm(bids, nil) // a concurrent Prewarm must not disturb readers
 			}
 			for rep := 0; rep < 20; rep++ {
 				for i, bid := range bids {
@@ -154,21 +153,24 @@ func TestEvaluatorAllocationFree(t *testing.T) {
 	}
 }
 
-// TestPrewarmMatchesColdPath asserts warm and cold lookups derive the
-// same quantities, bit for bit — whether the warm group sweeps its own
-// history or takes its sweeps from a source a residual profile's group
-// on the same history filled.
+// TestPrewarmMatchesColdPath is the per-bid cache's reference test: a
+// group that sweeps its own history in Prewarm, one fed by a shared
+// PassageSource and one filled by lookups alone must each give exactly
+// failure.Estimate, failure.MTTF and failure.ExpectedSpotPrice, bit for
+// bit, at interior bids, at the history max and above it.
 func TestPrewarmMatchesColdPath(t *testing.T) {
 	m := testMarket(8)
 	hist := m.Trace(cloud.C3XLarge.Name, cloud.ZoneB)
-	cold := NewGroup(app.BT(), cloud.C3XLarge, cloud.ZoneB, hist)
-	bids := []float64{0.1, 0.2, 0.4}
-	warm := resetCache(cold)
-	warm.Prewarm(bids, nil)
-	// A session's residual profile: same history, a different horizon.
+	base := NewGroup(app.BT(), cloud.C3XLarge, cloud.ZoneB, hist)
+	bids := []float64{0.1, 0.2, 0.4, hist.Max() / 3, hist.Max(), 2 * hist.Max()}
+
+	own := resetCache(base)
+	own.Prewarm(bids, nil)
+	// A session's residual profile: same history, a different horizon,
+	// fills the shared source first.
 	other := NewGroup(app.BT().Scale(0.4), cloud.C3XLarge, cloud.ZoneB, hist)
-	if other.T == cold.T {
-		t.Fatalf("precondition: both groups have T = %d, the shared source proves nothing", cold.T)
+	if other.T == base.T {
+		t.Fatalf("precondition: both groups have T = %d, the shared source proves nothing", base.T)
 	}
 	type swept struct {
 		p     *failure.Passage
@@ -184,23 +186,32 @@ func TestPrewarmMatchesColdPath(t *testing.T) {
 		return s.p, s.price
 	}
 	other.Prewarm(bids, src)
-	sourced := resetCache(cold)
+	sourced := resetCache(base)
 	sourced.Prewarm(bids, src)
+	onDemand := resetCache(base)
+
+	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
 	for _, bid := range bids {
-		for name, g := range map[string]*Group{"warm": warm, "sourced": sourced} {
-			if a, b := cold.ExpectedPrice(bid), g.ExpectedPrice(bid); a != b {
-				t.Errorf("ExpectedPrice(%v): cold %v %s %v", bid, a, name, b)
+		wantDist := failure.Estimate(hist, bid, base.T)
+		wantMTTF := failure.MTTF(hist, bid)
+		wantPrice := failure.ExpectedSpotPrice(hist, bid)
+		for _, c := range []struct {
+			name string
+			g    *Group
+		}{{"own-sweep Prewarm", own}, {"sourced Prewarm", sourced}, {"on-demand lookup", onDemand}} {
+			if got := c.g.ExpectedPrice(bid); !same(got, wantPrice) {
+				t.Errorf("%s: ExpectedPrice(%v) = %v, failure.ExpectedSpotPrice %v", c.name, bid, got, wantPrice)
 			}
-			if a, b := cold.MTTF(bid), g.MTTF(bid); math.Float64bits(a) != math.Float64bits(b) {
-				t.Errorf("MTTF(%v): cold %v %s %v", bid, a, name, b)
+			if got := c.g.MTTF(bid); !same(got, wantMTTF) {
+				t.Errorf("%s: MTTF(%v) = %v, failure.MTTF %v", c.name, bid, got, wantMTTF)
 			}
-			a, b := cold.Dist(bid), g.Dist(bid)
-			if a.T != b.T || len(a.P) != len(b.P) {
-				t.Fatalf("Dist(%v): cold T %d, %s T %d", bid, a.T, name, b.T)
+			got := c.g.Dist(bid)
+			if got.T != wantDist.T || len(got.P) != len(wantDist.P) {
+				t.Fatalf("%s: Dist(%v) has T %d, failure.Estimate T %d", c.name, bid, got.T, wantDist.T)
 			}
-			for i := range a.P {
-				if math.Float64bits(a.P[i]) != math.Float64bits(b.P[i]) {
-					t.Errorf("Dist(%v).P[%d]: cold %v %s %v", bid, i, a.P[i], name, b.P[i])
+			for i := range got.P {
+				if !same(got.P[i], wantDist.P[i]) {
+					t.Errorf("%s: Dist(%v).P[%d] = %v, failure.Estimate %v", c.name, bid, i, got.P[i], wantDist.P[i])
 				}
 			}
 		}

@@ -24,7 +24,6 @@ import (
 	"fmt"
 	"math"
 	"sync"
-	"sync/atomic"
 
 	"sompi/internal/app"
 	"sompi/internal/cloud"
@@ -52,30 +51,19 @@ type Group struct {
 	// estimation.
 	Hist *trace.Trace
 
-	// The per-bid derived quantities (failure distribution, expected
-	// price, MTTF) are cached in two tiers. warm is an immutable snapshot
-	// published by Prewarm and read without synchronization — the hot
-	// path once the optimizer has warmed the bid grid. cold catches any
-	// bid outside the warmed set under mu, so a Group stays correct (if
-	// slower) for ad-hoc lookups from concurrent goroutines.
-	warm atomic.Pointer[groupCaches]
-	mu   sync.RWMutex
-	cold groupCaches
+	// bids caches the per-bid derived quantities under mu. bid_grid fills
+	// the optimizer's whole grid through Prewarm before the search; a
+	// lookup of any other bid fills its entry through the same code.
+	mu   sync.Mutex
+	bids map[float64]bidStats
 }
 
-// groupCaches holds the lazily-derived per-bid quantities of one Group.
-type groupCaches struct {
-	dist  map[float64]*failure.Dist
-	price map[float64]float64
-	mttf  map[float64]float64
-}
-
-func newGroupCaches(n int) groupCaches {
-	return groupCaches{
-		dist:  make(map[float64]*failure.Dist, n),
-		price: make(map[float64]float64, n),
-		mttf:  make(map[float64]float64, n),
-	}
+// bidStats holds the per-bid quantities of one Group, derived together
+// from one first-passage sweep and one expected-price scan.
+type bidStats struct {
+	dist  *failure.Dist
+	price float64
+	mttf  float64
 }
 
 // NewGroup builds the circle group for running profile on instances of
@@ -100,122 +88,64 @@ func NewGroup(p app.Profile, it cloud.InstanceType, zone string, hist *trace.Tra
 // Hist.
 type PassageSource func(bid float64) (*failure.Passage, float64)
 
-// Prewarm derives and publishes the failure distribution, expected price
-// and MTTF for every bid in bids, taking each bid's sweep and price from
-// src, or sweeping Hist itself when src is nil. After it returns, lookups
-// for those bids are lock-free; bids outside the warmed set fall back to
-// the mutex-protected cold cache. Prewarm is intended for the optimizer's
-// single-threaded prepare phase (warming the whole bid grid before the
-// parallel search starts); concurrent Prewarm calls are safe but each
-// snapshot supersedes the last, so racing warms may recompute work.
+// Prewarm derives the failure distribution, expected price and MTTF for
+// every bid in bids, taking each bid's sweep and price from src, or
+// sweeping Hist itself when src is nil. Bids already cached are skipped.
+// The optimizer warms its whole bid grid this way before the search, so
+// a shared PassageSource can serve every group on the same history.
 func (g *Group) Prewarm(bids []float64, src PassageSource) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	w := newGroupCaches(len(bids))
-	if old := g.warm.Load(); old != nil {
-		for k, v := range old.dist {
-			w.dist[k] = v
-		}
-		for k, v := range old.price {
-			w.price[k] = v
-		}
-		for k, v := range old.mttf {
-			w.mttf[k] = v
-		}
-	}
 	for _, bid := range bids {
-		// The three maps are only ever filled together, here.
-		if _, ok := w.dist[bid]; ok {
-			continue
-		}
-		var p *failure.Passage
-		if src != nil {
-			p, w.price[bid] = src(bid)
-		} else {
-			p, w.price[bid] = failure.NewPassage(g.Hist, bid), failure.ExpectedSpotPrice(g.Hist, bid)
-		}
-		w.dist[bid], w.mttf[bid] = p.Dist(g.T), p.MTTF()
+		g.fill(bid, src)
 	}
-	g.warm.Store(&w)
+}
+
+// fill returns bid's cached quantities, deriving and caching them first
+// on a miss. g.mu must be held.
+func (g *Group) fill(bid float64, src PassageSource) bidStats {
+	if s, ok := g.bids[bid]; ok {
+		return s
+	}
+	var p *failure.Passage
+	var s bidStats
+	if src != nil {
+		p, s.price = src(bid)
+	} else {
+		p, s.price = failure.NewPassage(g.Hist, bid), failure.ExpectedSpotPrice(g.Hist, bid)
+	}
+	s.mttf = p.MTTF()
+	if g.T > 0 { // a hand-built group may have no horizon; Dist refuses it
+		s.dist = p.Dist(g.T)
+	}
+	if g.bids == nil {
+		g.bids = make(map[float64]bidStats)
+	}
+	g.bids[bid] = s
+	return s
+}
+
+func (g *Group) lookup(bid float64) bidStats {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return g.fill(bid, nil)
 }
 
 // Dist returns the failure-time distribution for the given bid, cached.
+// It panics on a group whose T is not positive, as failure.Estimate does.
 func (g *Group) Dist(bid float64) *failure.Dist {
-	if w := g.warm.Load(); w != nil {
-		if d, ok := w.dist[bid]; ok {
-			return d
-		}
+	d := g.lookup(bid).dist
+	if d == nil {
+		panic("model: non-positive group horizon")
 	}
-	g.mu.RLock()
-	d, ok := g.cold.dist[bid]
-	g.mu.RUnlock()
-	if ok {
-		return d
-	}
-	d = failure.Estimate(g.Hist, bid, g.T)
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if prev, ok := g.cold.dist[bid]; ok { // lost the compute race
-		return prev
-	}
-	if g.cold.dist == nil {
-		g.cold.dist = make(map[float64]*failure.Dist)
-	}
-	g.cold.dist[bid] = d
 	return d
 }
 
 // ExpectedPrice reports S_i(bid), the mean price paid while running.
-func (g *Group) ExpectedPrice(bid float64) float64 {
-	if w := g.warm.Load(); w != nil {
-		if s, ok := w.price[bid]; ok {
-			return s
-		}
-	}
-	g.mu.RLock()
-	s, ok := g.cold.price[bid]
-	g.mu.RUnlock()
-	if ok {
-		return s
-	}
-	s = failure.ExpectedSpotPrice(g.Hist, bid)
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if prev, ok := g.cold.price[bid]; ok {
-		return prev
-	}
-	if g.cold.price == nil {
-		g.cold.price = make(map[float64]float64)
-	}
-	g.cold.price[bid] = s
-	return s
-}
+func (g *Group) ExpectedPrice(bid float64) float64 { return g.lookup(bid).price }
 
 // MTTF reports the mean time to out-of-bid at the given bid, cached.
-func (g *Group) MTTF(bid float64) float64 {
-	if w := g.warm.Load(); w != nil {
-		if m, ok := w.mttf[bid]; ok {
-			return m
-		}
-	}
-	g.mu.RLock()
-	m, ok := g.cold.mttf[bid]
-	g.mu.RUnlock()
-	if ok {
-		return m
-	}
-	m = failure.MTTF(g.Hist, bid)
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if prev, ok := g.cold.mttf[bid]; ok {
-		return prev
-	}
-	if g.cold.mttf == nil {
-		g.cold.mttf = make(map[float64]float64)
-	}
-	g.cold.mttf[bid] = m
-	return m
-}
+func (g *Group) MTTF(bid float64) float64 { return g.lookup(bid).mttf }
 
 // MaxBid reports H_i, the highest historical price — the top of the bid
 // search space (a bid at H_i is "terminated in extremely low probability").

@@ -110,13 +110,11 @@ func assertPreparedMatchesRef(t *testing.T, label string, gp GroupPlan) {
 }
 
 // plantedGroup is a hand-built group whose failure distribution at bid 1
-// is p and whose expected price there is 0.5, planted in the cold cache
-// so no history is needed.
+// is p and whose expected price there is 0.5, planted in the per-bid
+// cache so no history is needed.
 func plantedGroup(T int, o, r float64, p []float64) *Group {
 	g := &Group{M: 3, T: T, O: o, R: r}
-	g.cold = newGroupCaches(1)
-	g.cold.dist[1] = &failure.Dist{T: T, P: p}
-	g.cold.price[1] = 0.5
+	g.bids = map[float64]bidStats{1: {dist: &failure.Dist{T: T, P: p}, price: 0.5}}
 	return g
 }
 

@@ -7,9 +7,11 @@
 // The design constraint is that *uninstrumented* callers pay nothing: a
 // context without a Collector makes StartSpan return a nil *Span, every
 // method on a nil *Span is a no-op, and the fast path performs no
-// allocations and no clock reads (cmd/smoke's obs stage enforces a ≤2%
-// overhead budget on the κ-subset search). Instrumented paths pay one
-// small allocation per span plus a mutex-guarded ring push at End.
+// allocations and no clock reads (TestDisabledPathZeroAlloc holds every
+// disabled span site at zero allocations, and opt's TestOptimizeSpans
+// keeps span sites out of the κ-subset search loops). Instrumented paths
+// pay one small allocation per span plus a mutex-guarded ring push at
+// End.
 package obs
 
 import (

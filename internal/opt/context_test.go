@@ -27,20 +27,22 @@ func fullSearchConfig(m *cloud.Market) Config {
 	}
 }
 
-func TestOptionsOverrideConfig(t *testing.T) {
+func TestConfigKnobsOverrideDefaults(t *testing.T) {
 	m := testMarket(5)
 	cfg := smallConfig(m, app.BT(), 60)
-	res, err := OptimizeContext(context.Background(), cfg,
-		WithKappa(1), WithWorkers(1), WithGridLevels(2), WithMaxGroups(2))
+	cfg.Kappa, cfg.Workers, cfg.GridLevels, cfg.MaxGroups = 1, 1, 2, 2
+	res, err := OptimizeContext(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res.Plan.Groups) > 1 {
-		t.Fatalf("WithKappa(1) produced %d groups", len(res.Plan.Groups))
+		t.Fatalf("Kappa 1 produced %d groups", len(res.Plan.Groups))
 	}
 
-	// An option that invalidates the config surfaces as ErrInvalidConfig.
-	if _, err := OptimizeContext(context.Background(), cfg, WithKappa(9)); !errors.Is(err, ErrInvalidConfig) {
+	// A knob that invalidates the config surfaces as ErrInvalidConfig.
+	cfg = smallConfig(m, app.BT(), 60)
+	cfg.Kappa = 9
+	if _, err := OptimizeContext(context.Background(), cfg); !errors.Is(err, ErrInvalidConfig) {
 		t.Fatalf("kappa 9 > max groups 8 returned %v, want ErrInvalidConfig", err)
 	}
 }

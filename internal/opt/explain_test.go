@@ -23,7 +23,8 @@ func TestExplainTrail(t *testing.T) {
 		t.Fatal("Explain populated without Config.Explain")
 	}
 
-	res, err := OptimizeContext(context.Background(), cfg, WithExplain())
+	cfg.Explain = true
+	res, err := OptimizeContext(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +128,8 @@ func TestExplainDeadlineRejections(t *testing.T) {
 	// at least one deadline rejection.
 	fast := FastestOnDemand(m.Catalog(), p)
 	cfg := smallConfig(m, p, fast.T*2)
-	res, err := OptimizeContext(context.Background(), cfg, WithExplain())
+	cfg.Explain = true
+	res, err := OptimizeContext(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -296,8 +296,8 @@ type Result struct {
 }
 
 // OptimizeContext runs the full SOMPI pipeline and returns the cheapest
-// plan whose expected completion time meets the deadline. Options are
-// applied to cfg first, then defaults, then validation (ErrInvalidConfig
+// plan whose expected completion time meets the deadline. Defaults are
+// applied to cfg's zero fields first, then validation (ErrInvalidConfig
 // on out-of-range fields).
 //
 // If no spot plan is feasible the returned plan has no groups (pure
@@ -308,10 +308,7 @@ type Result struct {
 // checkpoint: OptimizeContext returns ctx.Err() together with a partial
 // Result whose Evals/Pruned counters record how much of the search
 // actually ran (the cancellation guarantee the service layer tests).
-func OptimizeContext(ctx context.Context, cfg Config, opts ...Option) (Result, error) {
-	for _, o := range opts {
-		o(&cfg)
-	}
+func OptimizeContext(ctx context.Context, cfg Config) (Result, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.validate(); err != nil {
 		return Result{}, err
@@ -323,8 +320,8 @@ func OptimizeContext(ctx context.Context, cfg Config, opts ...Option) (Result, e
 	// The decision trail and the span tree share one stage clock; when
 	// neither is requested (no Explain, no collector in ctx) every
 	// instrumentation point below is a nil-receiver no-op and the search
-	// runs exactly as before — the overhead budget cmd/smoke's obs stage
-	// enforces.
+	// runs exactly as before, as TestDisabledPathZeroAlloc and
+	// TestOptimizeSpans hold it.
 	var ex *Explain
 	var t0 time.Time
 	if cfg.Explain {
@@ -392,13 +389,12 @@ func OptimizeContext(ctx context.Context, cfg Config, opts ...Option) (Result, e
 
 	// Prepare every (group, bid-grid-point) pair once, with its
 	// F = φ(P) interval; subsets below only combine prepared groups.
-	// Prewarm publishes each group's per-bid caches for the whole grid
-	// while still single-threaded, so the parallel search below only ever
-	// takes the lock-free read path. Cache hits arrive with all of that
-	// already done; a miss still takes each bid's first-passage sweep from
-	// the cache's per-shard passage tier, which every profile on the same
-	// window shares, and fresh derivations are registered for the next
-	// optimization.
+	// Prewarm fills each group's per-bid cache for the whole grid before
+	// the search, which reads only the prepared groups. Cache hits arrive
+	// with all of that already done; a miss still takes each bid's
+	// first-passage sweep from the cache's per-shard passage tier, which
+	// every profile on the same window shares, and fresh derivations are
+	// registered for the next optimization.
 	sc.begin("bid_grid")
 	prepared := make([][]*model.PreparedGroup, len(groups))
 	minSpot := make([]float64, len(groups))

@@ -48,7 +48,7 @@ func WarmBound(cfg Config, prev model.Plan) (cost float64, ok bool) {
 			return 0, false
 		}
 		// Take the bid's sweep from the passage tier the search shares,
-		// not one cold sweep each for Phi's MTTF and Prepare's Dist.
+		// so every profile on the same window sweeps it once.
 		if rb != nil {
 			g.Prewarm([]float64{gp.Bid}, rb.passages(g.Key, tr))
 		}

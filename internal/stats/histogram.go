@@ -68,15 +68,6 @@ func (h *Histogram) Density(i int) float64 {
 	return float64(h.Counts[i]) / float64(h.total)
 }
 
-// Densities returns the per-bin fractions as a slice.
-func (h *Histogram) Densities() []float64 {
-	out := make([]float64, len(h.Counts))
-	for i := range out {
-		out[i] = h.Density(i)
-	}
-	return out
-}
-
 // Distance reports the L1 (total variation x2) distance between the
 // densities of two histograms with identical geometry. It panics if the
 // geometries differ. The paper's "stable spot price distribution" claim

@@ -275,8 +275,8 @@ func TestHistogramDensitySumsToOne(t *testing.T) {
 			h.Add(r.NormFloat64())
 		}
 		sum := 0.0
-		for _, d := range h.Densities() {
-			sum += d
+		for i := range h.Counts {
+			sum += h.Density(i)
 		}
 		return math.Abs(sum-1) < 1e-9
 	}

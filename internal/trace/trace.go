@@ -23,8 +23,8 @@ const DefaultStep = 1.0 / 12
 // oldest samples without shifting that clock — Head records how many
 // were dropped, so Prices[0] is the sample for hour Head*Step and
 // Duration still reports the absolute frontier. Statistics (Max, Mean,
-// MeanBelow, FractionBelow, FirstExceed, Histogram) operate on the
-// retained samples only.
+// MeanBelow, FractionBelow, Histogram) operate on the retained samples
+// only.
 //
 // A trace handed out by a market (or windowed from one) is a read-only
 // view whose Prices is capped (cap == len): the market keeps appending
@@ -179,20 +179,6 @@ func (t *Trace) FractionBelow(bid float64) float64 {
 		}
 	}
 	return float64(n) / float64(len(t.Prices))
-}
-
-// FirstExceed scans forward from sample index start and returns the number
-// of hours until the price first exceeds bid, together with true if that
-// happens before the end of the trace. This is the first-passage scan at
-// the heart of the paper's failure-rate estimation (Section 4.4: "we check
-// whether the spot price firstly becomes larger than P at time t").
-func (t *Trace) FirstExceed(start int, bid float64) (hours float64, exceeded bool) {
-	for i := start; i < len(t.Prices); i++ {
-		if t.Prices[i] > bid {
-			return float64(i-start) * t.Step, true
-		}
-	}
-	return float64(len(t.Prices)-start) * t.Step, false
 }
 
 // Histogram bins the prices of the trace into the given geometry.

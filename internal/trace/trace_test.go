@@ -96,22 +96,6 @@ func TestFractionBelow(t *testing.T) {
 	}
 }
 
-func TestFirstExceed(t *testing.T) {
-	tr := New(1, []float64{1, 1, 5, 1})
-	h, ex := tr.FirstExceed(0, 2)
-	if !ex || h != 2 {
-		t.Fatalf("FirstExceed = (%v,%v), want (2,true)", h, ex)
-	}
-	h, ex = tr.FirstExceed(0, 10)
-	if ex || h != 4 {
-		t.Fatalf("FirstExceed high bid = (%v,%v), want (4,false)", h, ex)
-	}
-	h, ex = tr.FirstExceed(3, 2)
-	if ex || h != 1 {
-		t.Fatalf("FirstExceed from 3 = (%v,%v), want (1,false)", h, ex)
-	}
-}
-
 func TestClone(t *testing.T) {
 	a := New(1, []float64{1, 2})
 	b := a.Clone()
@@ -271,19 +255,6 @@ func TestStableDailyDistribution(t *testing.T) {
 			}
 		}
 		prev = w
-	}
-}
-
-func TestFirstExceedWithinBounds(t *testing.T) {
-	f := func(seed uint64, bidRaw float64) bool {
-		m := volatileModel()
-		tr := m.Generate(stats.NewRNG(seed), 48)
-		bid := math.Mod(math.Abs(bidRaw), m.SpikeCap)
-		h, _ := tr.FirstExceed(0, bid)
-		return h >= 0 && h <= tr.Duration()+tr.Step
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Fatal(err)
 	}
 }
 

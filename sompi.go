@@ -6,7 +6,7 @@
 // The package re-exports the pieces a downstream user composes:
 //
 //   - workloads and the cloud substrate (Workload*, GenerateMarket),
-//   - the SOMPI optimizer (Optimize, Config) and its plans,
+//   - the SOMPI optimizer (OptimizeContext, Config) and its plans,
 //   - the trace-replay simulator and Monte Carlo harness,
 //   - every comparison strategy from the paper,
 //   - the experiment registry that regenerates each paper figure/table.
@@ -14,10 +14,9 @@
 // The v1 surface is context-aware: OptimizeContext and MonteCarloContext
 // accept a context.Context for cancellation and report typed sentinel
 // errors (ErrInvalidConfig, ErrDeadlineInfeasible, ErrNoCandidates,
-// ErrMarketTooShort) that callers match with errors.Is. The pre-v1
-// entry points (Optimize, MonteCarlo) remain as deprecated thin
-// wrappers. The same engine runs as a long-lived HTTP/JSON service —
-// see cmd/sompid and internal/serve.
+// ErrMarketTooShort) that callers match with errors.Is. Every optimizer
+// knob is a Config field. The same engine runs as a long-lived HTTP/JSON
+// service — see cmd/sompid and internal/serve.
 //
 // See examples/quickstart for the three-call happy path.
 package sompi
@@ -57,7 +56,7 @@ type (
 	Estimate = model.Estimate
 	// Config parameterizes the SOMPI optimizer.
 	Config = opt.Config
-	// Result is a scored plan returned by Optimize.
+	// Result is a scored plan returned by OptimizeContext.
 	Result = opt.Result
 	// Runner replays plans against a market.
 	Runner = replay.Runner
@@ -67,8 +66,6 @@ type (
 	MCStats = replay.MCStats
 	// MCConfig sizes a Monte Carlo evaluation.
 	MCConfig = replay.MCConfig
-	// Option tweaks an OptimizeContext call (WithWorkers, WithKappa, ...).
-	Option = opt.Option
 	// Session threads Algorithm 1's window-by-window execution state.
 	Session = replay.Session
 	// Table is a rendered experiment result.
@@ -116,23 +113,9 @@ func EstimateHours(p Profile, it InstanceType) float64 { return app.EstimateHour
 // the κ-subset search at the next evaluation and returns ctx.Err()
 // alongside a partial Result. Invalid configurations are reported as
 // ErrInvalidConfig; see also ErrDeadlineInfeasible and ErrNoCandidates.
-func OptimizeContext(ctx context.Context, cfg Config, opts ...Option) (Result, error) {
-	return opt.OptimizeContext(ctx, cfg, opts...)
+func OptimizeContext(ctx context.Context, cfg Config) (Result, error) {
+	return opt.OptimizeContext(ctx, cfg)
 }
-
-// Functional options for OptimizeContext.
-var (
-	WithWorkers        = opt.WithWorkers
-	WithKappa          = opt.WithKappa
-	WithSlack          = opt.WithSlack
-	WithGridLevels     = opt.WithGridLevels
-	WithMaxGroups      = opt.WithMaxGroups
-	WithMaxAllFail     = opt.WithMaxAllFail
-	WithCandidates     = opt.WithCandidates
-	WithOnDemandTypes  = opt.WithOnDemandTypes
-	WithoutCheckpoints = opt.WithoutCheckpoints
-	WithoutPruning     = opt.WithoutPruning
-)
 
 // Typed sentinel errors of the v1 API, for errors.Is matching.
 var (
@@ -197,8 +180,9 @@ func ExperimentByID(id string) (experiments.Experiment, error) { return experime
 // Strategy catalog & tournament surface. A PlanStrategy is a named,
 // typed-parameter planning policy from the registry ("sompi" — the
 // default, byte-identical to OptimizeContext — plus "portfolio", "noft"
-// and "adaptive-ckpt"); PlanContext plans through one, and Tournament
-// Monte Carlo-evaluates the whole catalog across market scenarios.
+// and "adaptive-ckpt"); NewStrategy builds one to Plan with, and
+// Tournament Monte Carlo-evaluates the whole catalog across market
+// scenarios.
 type (
 	// PlanStrategy is a named planning policy from the registry.
 	PlanStrategy = strategy.Strategy
@@ -214,8 +198,6 @@ type (
 	Workload = strategy.Workload
 	// Deadline is the completion constraint a strategy plans against.
 	Deadline = strategy.Deadline
-	// PlanOption configures one PlanContext call (WithStrategy, ...).
-	PlanOption = strategy.PlanOption
 	// Scenario is a named market-and-billing regime for evaluation.
 	Scenario = strategy.Scenario
 	// TournamentConfig selects the (strategy × workload × deadline ×
@@ -233,18 +215,6 @@ var (
 	ErrUnknownScenario = strategy.ErrUnknownScenario
 )
 
-// Options for PlanContext.
-var (
-	// WithStrategy selects a registered strategy by name with typed
-	// parameters (nil = defaults); omitted, PlanContext plans with the
-	// default "sompi" strategy.
-	WithStrategy = strategy.WithStrategy
-	// WithStrategyCandidates restricts planning to the given markets.
-	WithStrategyCandidates = strategy.WithCandidates
-	// WithStrategyExplain asks for the strategy's decision trail.
-	WithStrategyExplain = strategy.WithExplain
-)
-
 // Strategies lists the registered planning strategies in registration
 // order — the default, "sompi", first — with their parameter schemas.
 func Strategies() []StrategyDescriptor { return strategy.List() }
@@ -254,13 +224,6 @@ func Strategies() []StrategyDescriptor { return strategy.List() }
 // ErrInvalidConfig.
 func NewStrategy(name string, params map[string]float64) (PlanStrategy, error) {
 	return strategy.New(name, params)
-}
-
-// PlanContext plans one workload against a market view through a
-// registry strategy. With no options it is exactly the default sompi
-// plan — byte-identical to OptimizeContext with the same inputs.
-func PlanContext(ctx context.Context, view MarketView, w Workload, d Deadline, opts ...PlanOption) (StrategyPlan, *StrategyExplain, error) {
-	return strategy.PlanWith(ctx, view, w, d, opts...)
 }
 
 // Scenarios lists the named market scenarios tournaments evaluate
