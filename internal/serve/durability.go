@@ -514,16 +514,14 @@ func (s *Server) materializeSession(st sessionState) (*trackedSession, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: unknown workload %q", opt.ErrInvalidConfig, st.App)
 	}
-	base := st.Req.Config(profile, nil)
-	base.Market = nil
-	keys := st.Req.CandidateKeys(s.market)
-	base.Candidates = keys
 	// The strategy rides the persisted request — rebuilding it here
 	// restores exactly the re-planning policy the pre-crash server ran.
-	strat, err := sessionStrategy(st.Req, &base)
+	base, strat, err := planner(st.Req, profile)
 	if err != nil {
 		return nil, err
 	}
+	keys := st.Req.CandidateKeys(s.market)
+	base.Candidates = keys
 
 	sess := replay.NewSession(&replay.Runner{Market: s.market, Profile: profile}, st.Deadline, st.Start)
 	sess.Progress = st.Progress

@@ -100,17 +100,25 @@ func trackedPlan() PlanRequest {
 // below every plausible bid, so tracked sessions survive their windows.
 func ingestHours(t *testing.T, url string, hours float64) {
 	t.Helper()
+	ingestZone(t, url, "", hours, 0.05)
+}
+
+// ingestZone feeds hours of one flat price to every shard of zone (""
+// = every zone). ?sync=1: the durability tests assert
+// post-re-optimization state (audit records, WAL session transitions),
+// so it drains the scheduler before returning.
+func ingestZone(t *testing.T, url, zone string, hours, price float64) {
+	t.Helper()
 	samples := make([]float64, int(hours*12))
 	for i := range samples {
-		samples[i] = 0.05
+		samples[i] = price
 	}
 	var ticks []PriceTick
 	for _, key := range durableMarket().Keys() {
-		ticks = append(ticks, PriceTick{Type: key.Type, Zone: key.Zone, Prices: samples})
+		if zone == "" || key.Zone == zone {
+			ticks = append(ticks, PriceTick{Type: key.Type, Zone: key.Zone, Prices: samples})
+		}
 	}
-	// ?sync=1: the durability tests assert post-re-optimization state
-	// (audit records, WAL session transitions), so drain the scheduler
-	// before returning.
 	durablePost(t, url+"/v1/prices?sync=1", ticks)
 }
 
@@ -237,6 +245,60 @@ func TestCrashRecoveryWithSnapshots(t *testing.T) {
 		t.Fatal("recovery did not start from a snapshot")
 	}
 	assertRecoveredExactly(t, s1, s2, ts1.URL, ts2.URL)
+}
+
+// TestTerminalSessionsSurviveRestart drives one session to each terminal
+// transition through /v1/prices?sync=1 — "completed" on cheap prices,
+// "recovered_on_demand" when every candidate shard prices above every
+// bid — and then restarts the durable server: the terminal listing
+// entries and the session gauges come back unchanged.
+func TestTerminalSessionsSurviveRestart(t *testing.T) {
+	dir := t.TempDir()
+	_, ts1 := newDurable(t, dir, store.Options{})
+
+	// Disjoint zones: each session's boundary clock follows only its own
+	// shards, so each feed moves exactly one of them.
+	cheap, spiked := trackedPlan(), trackedPlan()
+	cheap.Zones, spiked.Zones = []string{cloud.ZoneA}, []string{cloud.ZoneB}
+	durablePost(t, ts1.URL+"/v1/plan", cheap)
+	durablePost(t, ts1.URL+"/v1/plan", spiked)
+
+	ingestZone(t, ts1.URL, cloud.ZoneA, cheap.DeadlineHours, 0.05)
+	ingestZone(t, ts1.URL, cloud.ZoneB, 2, 1e3)
+
+	sessions := durableGet(t, ts1.URL+"/v1/sessions")
+	var infos []SessionInfo
+	if err := json.Unmarshal(sessions, &infos); err != nil {
+		t.Fatal(err)
+	}
+	if len(infos) != 2 {
+		t.Fatalf("%d sessions listed, want 2", len(infos))
+	}
+	for i, want := range []string{"completed", "recovered_on_demand"} {
+		got := infos[i]
+		if !got.Done || !got.Completed || len(got.Audit) == 0 {
+			t.Fatalf("session %s: done %v completed %v with %d audit records, want a terminal run",
+				got.ID, got.Done, got.Completed, len(got.Audit))
+		}
+		if trig := got.Audit[len(got.Audit)-1].Trigger; trig != want {
+			t.Fatalf("session %s: last trigger %q, want %q", got.ID, trig, want)
+		}
+	}
+	metrics := durableGet(t, ts1.URL+"/metrics")
+	active := promValue(t, metrics, "sompid_active_sessions")
+	completed := promValue(t, metrics, "sompid_sessions_completed_total")
+	if active != 0 || completed != 2 {
+		t.Fatalf("gauges: %v active, %v completed, want 0 and 2", active, completed)
+	}
+
+	_, ts2 := newDurable(t, dir, store.Options{})
+	if got := durableGet(t, ts2.URL+"/v1/sessions"); !bytes.Equal(got, sessions) {
+		t.Fatalf("terminal sessions diverged after restart:\npre:  %s\npost: %s", sessions, got)
+	}
+	metrics = durableGet(t, ts2.URL+"/metrics")
+	if a, c := promValue(t, metrics, "sompid_active_sessions"), promValue(t, metrics, "sompid_sessions_completed_total"); a != active || c != completed {
+		t.Fatalf("gauges after restart: %v active, %v completed, want %v and %v", a, c, active, completed)
+	}
 }
 
 // TestDurableTwinMatchesInMemory: with no store the service must behave

@@ -263,21 +263,26 @@ func TestReoptDedupCoalescesIdenticalSessions(t *testing.T) {
 }
 
 // Identical concurrent plan requests (tracked included) coalesce too:
-// registering k sessions costs one optimizer search.
+// registering k sessions costs one optimizer search, whether the request
+// names the sompi strategy or leaves it to the default.
 func TestTrackedPlanRegistrationDedups(t *testing.T) {
-	s, ts := newMemServer(t, Config{Market: durableMarket()})
+	for _, name := range []string{"", "sompi"} {
+		s, ts := newMemServer(t, Config{Market: durableMarket()})
+		req := trackedPlan()
+		req.Strategy = name
 
-	durablePost(t, ts.URL+"/v1/plan", trackedPlan()) // leader populates the run cache
-	dedupBefore := s.met.reoptDeduped.Load()
-	evalsBefore := s.met.evals.Load()
-	for i := 0; i < 3; i++ {
-		durablePost(t, ts.URL+"/v1/plan", trackedPlan())
-	}
-	if got := s.met.reoptDeduped.Load() - dedupBefore; got != 3 {
-		t.Fatalf("reopt_deduped delta %d, want 3 (every follower shared the leader's run)", got)
-	}
-	if got := s.met.evals.Load() - evalsBefore; got != 0 {
-		t.Fatalf("followers spent %d optimizer evals, want 0", got)
+		durablePost(t, ts.URL+"/v1/plan", req) // leader populates the run cache
+		dedupBefore := s.met.reoptDeduped.Load()
+		evalsBefore := s.met.evals.Load()
+		for i := 0; i < 3; i++ {
+			durablePost(t, ts.URL+"/v1/plan", req)
+		}
+		if got := s.met.reoptDeduped.Load() - dedupBefore; got != 3 {
+			t.Fatalf("strategy %q: reopt_deduped delta %d, want 3 (every follower shared the leader's run)", name, got)
+		}
+		if got := s.met.evals.Load() - evalsBefore; got != 0 {
+			t.Fatalf("strategy %q: followers spent %d optimizer evals, want 0", name, got)
+		}
 	}
 }
 

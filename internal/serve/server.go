@@ -531,17 +531,13 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 	}
 	planStart := time.Now()
 	defer func() { s.met.observeStrategy(d.Name, time.Since(planStart).Seconds()) }()
-	// A named strategy plans through the registry; the empty field is the
-	// default path, which calls the optimizer directly so its bytes never
-	// depend on the registry. Everything around the planning call —
+	// The sompi family calls the optimizer directly; any other name
+	// plans through the registry. Everything around the planning call —
 	// snapshot, cache, tracking, encoding — is shared.
-	var st strategy.Strategy
-	if req.Strategy != "" {
-		var err error
-		if st, err = strategy.New(req.Strategy, effectiveStrategyParams(req)); err != nil {
-			writeError(w, statusOf(err), err)
-			return
-		}
+	cfg, st, err := planner(req, profile)
+	if err != nil {
+		writeError(w, statusOf(err), err)
+		return
 	}
 	snap, keys, frontier, train := s.trainSnapshot(req, s.historyOr(req.HistoryHours))
 	if len(req.Types)+len(req.Zones) > 0 && len(keys) == 0 {
@@ -573,18 +569,12 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := context.WithTimeout(r.Context(), s.timeout)
 	defer cancel()
 	var notes []string
-	plan := func() (opt.Result, error) {
-		cfg := req.Config(profile, train)
-		cfg.Explain = explain
-		cfg.Reuse = s.reuse
-		return opt.OptimizeContext(ctx, cfg)
-	}
+	cfg.Market, cfg.Candidates = train, keys
+	cfg.Explain, cfg.Reuse = explain, s.reuse
+	plan := func() (opt.Result, error) { return opt.OptimizeContext(ctx, cfg) }
 	if st != nil {
 		plan = func() (opt.Result, error) {
 			strategy.Configure(st, keys, s.reuse)
-			if so, ok := st.(*strategy.SOMPI); ok {
-				so.Explain = explain
-			}
 			p, ex, err := st.Plan(ctx, train, strategy.Workload{Profile: profile}, strategy.Deadline{Hours: req.DeadlineHours})
 			res := opt.Result{Plan: p.Model, Est: p.Est, Evals: p.Evals, Pruned: p.Pruned, SavedEvals: p.SavedEvals}
 			if explain && ex != nil {
@@ -598,15 +588,14 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 		s.met.observeOptimize(r)
 		return r, e
 	}
-	// Identical concurrent default-path requests — the byte cache only
+	// Identical concurrent sompi-family requests — the byte cache only
 	// answers after a leader finishes — coalesce onto one optimizer run.
 	// The key includes the version vector (same content pin the byte cache
 	// uses), so a share is byte-identical work, and Track requests share
 	// too: k tracked registrations of the same workload need one search,
 	// not k. Explained runs stay solo — their trail is per-request — and
-	// so do named strategies.
+	// so do registry strategies.
 	var res opt.Result
-	var err error
 	if explain || st != nil {
 		res, err = run()
 	} else {
@@ -654,13 +643,12 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 // session enters the registry, so no id ever reaches a client that a
 // restart would silently forget.
 func (s *Server) registerSession(profile app.Profile, req PlanRequest, res opt.Result, version uint64, frontier float64, keys []cloud.MarketKey) (string, error) {
-	base := req.Config(profile, nil)
-	base.Market = nil // refilled per re-optimization
-	base.Candidates = keys
-	strat, serr := sessionStrategy(req, &base)
+	// base.Market stays nil: each re-optimization fills it in.
+	base, strat, serr := planner(req, profile)
 	if serr != nil {
 		return "", serr
 	}
+	base.Candidates = keys
 	history := s.historyOr(req.HistoryHours)
 	trainStart := math.Max(0, frontier-history)
 	s.mu.Lock()

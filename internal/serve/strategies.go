@@ -3,6 +3,7 @@ package serve
 import (
 	"net/http"
 
+	"sompi/internal/app"
 	"sompi/internal/opt"
 	"sompi/internal/strategy"
 )
@@ -66,29 +67,28 @@ func effectiveStrategyParams(req PlanRequest) map[string]float64 {
 	return p
 }
 
-// sessionStrategy resolves a request's strategy for session re-planning.
-// A nil strategy means the default Algorithm-1 loop; a "sompi" selection
-// folds its effective knobs into base and then uses that same loop, so
-// named-sompi sessions keep the warm-start and committed-window
-// machinery (and its bit-identity guarantees) of untagged ones.
-func sessionStrategy(req PlanRequest, base *opt.Config) (strategy.Strategy, error) {
+// planner resolves a request to what plans it, for /v1/plan and for
+// sessions alike. The sompi family — no strategy or "sompi" — comes back
+// as the opt.Config of the default optimizer loop with a nil strategy;
+// for "sompi" the config carries the effective knobs validated through
+// the registry, so named-sompi plans and sessions get the same warm
+// starts, committed-window MaxAllFail and single-flight dedup as
+// untagged ones. Every other name comes back as its registry strategy.
+// Market and Candidates are left to the caller.
+func planner(req PlanRequest, profile app.Profile) (opt.Config, strategy.Strategy, error) {
+	cfg := req.Config(profile, nil)
 	if req.Strategy == "" {
-		return nil, nil
+		return cfg, nil, nil
 	}
 	st, err := strategy.New(req.Strategy, effectiveStrategyParams(req))
 	if err != nil {
-		return nil, err
+		return opt.Config{}, nil, err
 	}
-	if so, ok := st.(*strategy.SOMPI); ok {
-		base.Kappa = so.Params.Kappa
-		base.GridLevels = so.Params.GridLevels
-		base.MaxGroups = so.Params.MaxGroups
-		base.Workers = so.Params.Workers
-		base.Slack = so.Params.Slack
-		base.MaxAllFail = so.Params.MaxAllFail
-		base.DisableCheckpoints = so.Params.DisableCheckpoints
-		base.DisablePruning = so.Params.DisablePruning
-		return nil, nil
+	so, ok := st.(*strategy.SOMPI)
+	if !ok {
+		return cfg, st, nil
 	}
-	return st, nil
+	knobs := so.Config
+	knobs.Profile, knobs.Deadline = profile, req.DeadlineHours
+	return knobs, nil, nil
 }

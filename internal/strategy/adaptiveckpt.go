@@ -76,7 +76,11 @@ func (s *AdaptiveCkpt) Plan(ctx context.Context, view cloud.MarketView, w Worklo
 		Kappa:      s.Params.Kappa,
 		GridLevels: s.Params.GridLevels,
 		MaxGroups:  s.Params.MaxGroups,
-		Reuse:      s.reuse,
+		// One search worker: the plan is the same at any count, but the
+		// served evals/pruned counters are only reproducible at a fixed
+		// one, and this strategy has no workers param to pin it.
+		Workers: 1,
+		Reuse:   s.reuse,
 	})
 	if err != nil {
 		return Plan{}, nil, err

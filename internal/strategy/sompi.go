@@ -7,30 +7,17 @@ import (
 	"sompi/internal/opt"
 )
 
-// SOMPIParams are the optimizer knobs of the "sompi" strategy, mirroring
-// opt.Config field for field. Zero values take the paper's defaults —
-// exactly the convention of opt.Config itself, which is what keeps a
-// parameterless "sompi" plan byte-identical to a direct
-// opt.OptimizeContext call.
-type SOMPIParams struct {
-	Kappa              int
-	GridLevels         int
-	MaxGroups          int
-	Workers            int
-	Slack              float64
-	MaxAllFail         float64
-	DisableCheckpoints bool
-	DisablePruning     bool
-}
-
 // SOMPI is the paper's policy as a registry strategy: replicated spot
 // execution with checkpoints, F = φ(P), κ-subset search over circle
 // groups with an on-demand backstop. It is the registry default.
 type SOMPI struct {
 	hosted
-	Params SOMPIParams
-	// Explain enables the optimizer's decision trail.
-	Explain bool
+	// Config holds the optimizer knobs. Zero values take the paper's
+	// defaults, exactly as in opt.Config itself, which is what keeps a
+	// parameterless "sompi" plan byte-identical to a direct
+	// opt.OptimizeContext call. Plan fills in the profile, market,
+	// deadline, candidates and reuse cache.
+	Config opt.Config
 }
 
 var sompiSpecs = []ParamSpec{
@@ -54,7 +41,7 @@ func init() {
 			if err != nil {
 				return nil, err
 			}
-			return &SOMPI{Params: SOMPIParams{
+			return &SOMPI{Config: opt.Config{
 				Kappa:              int(p["kappa"]),
 				GridLevels:         int(p["grid_levels"]),
 				MaxGroups:          int(p["max_groups"]),
@@ -73,22 +60,10 @@ func (s *SOMPI) Name() string { return "sompi" }
 
 // config assembles the optimizer configuration for one planning call.
 func (s *SOMPI) config(view cloud.MarketView, w Workload, d Deadline) opt.Config {
-	return opt.Config{
-		Profile:            w.Profile,
-		Market:             view,
-		Deadline:           d.Hours,
-		Candidates:         s.candidates,
-		Kappa:              s.Params.Kappa,
-		GridLevels:         s.Params.GridLevels,
-		MaxGroups:          s.Params.MaxGroups,
-		Workers:            s.Params.Workers,
-		Slack:              s.Params.Slack,
-		MaxAllFail:         s.Params.MaxAllFail,
-		DisableCheckpoints: s.Params.DisableCheckpoints,
-		DisablePruning:     s.Params.DisablePruning,
-		Reuse:              s.reuse,
-		Explain:            s.Explain,
-	}
+	cfg := s.Config
+	cfg.Profile, cfg.Market, cfg.Deadline = w.Profile, view, d.Hours
+	cfg.Candidates, cfg.Reuse = s.candidates, s.reuse
+	return cfg
 }
 
 // Plan implements Strategy by delegating to the κ-subset search. The

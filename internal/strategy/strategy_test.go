@@ -4,10 +4,12 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"runtime"
 	"testing"
 
 	"sompi/internal/app"
 	"sompi/internal/cloud"
+	"sompi/internal/obs"
 	"sompi/internal/opt"
 	"sompi/internal/strategy"
 )
@@ -198,6 +200,36 @@ func TestAdaptiveCkptRetunesCadence(t *testing.T) {
 	}
 	if ex == nil || len(ex.Notes) == 0 {
 		t.Fatalf("adaptive-ckpt explain notes missing")
+	}
+}
+
+// TestAdaptiveCkptSearchesOnOneWorker holds the adaptive-ckpt search at
+// one worker whatever GOMAXPROCS is: it has no workers param, so a
+// GOMAXPROCS-sized search would leave its served evals/pruned counters
+// to the host. The optimizer opens one opt.search.worker span per
+// worker, so the span count is the worker count.
+func TestAdaptiveCkptSearchesOnOneWorker(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	view := testView(t)
+	profile, _ := app.ByName("FT")
+	ck, err := strategy.New("adaptive-ckpt", smallKnobs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := obs.NewCollector(64)
+	ctx, root := obs.StartRoot(context.Background(), c, "http.plan", "req-ckpt")
+	if _, _, err := ck.Plan(ctx, view, strategy.Workload{Profile: profile}, testDeadline(profile, 2)); err != nil {
+		t.Fatal(err)
+	}
+	root.End()
+	workers := 0
+	for _, sd := range c.Spans("req-ckpt", 0) {
+		if sd.Name == "opt.search.worker" {
+			workers++
+		}
+	}
+	if workers != 1 {
+		t.Fatalf("adaptive-ckpt searched on %d workers at GOMAXPROCS 2, want 1", workers)
 	}
 }
 
