@@ -27,7 +27,7 @@ func main() {
 		seed     = flag.Uint64("seed", 0, "market + sampling seed (0 = default)")
 		hours    = flag.Float64("hours", 0, "synthesized market length in hours (0 = default)")
 		csv      = flag.String("csv", "", "also write the table as CSV to this file")
-		parallel = flag.Int("parallel", 0, "optimizer/replay worker count (0 = GOMAXPROCS, 1 = serial; results are identical)")
+		parallel = flag.Int("parallel", 0, "replay and tournament-cell worker count (0 = GOMAXPROCS, 1 = serial; results are identical)")
 	)
 	flag.Parse()
 

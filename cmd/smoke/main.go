@@ -91,12 +91,11 @@ func (e *env) startSompidAt(addr string, extra ...string) (*harness.Proc, error)
 	return harness.Start(sompid, addr, args...)
 }
 
-// smokePlan is the deterministic plan request the stages share
-// (workers=1 keeps the search-effort counters reproducible too).
+// smokePlan is the deterministic plan request the stages share.
 func smokePlan() serve.PlanRequest {
 	return serve.PlanRequest{
 		App: "BT", DeadlineHours: 60,
-		Workers: 1, Kappa: 2, GridLevels: 3, MaxGroups: 3,
+		Kappa: 2, GridLevels: 3, MaxGroups: 3,
 	}
 }
 

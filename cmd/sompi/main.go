@@ -53,7 +53,7 @@ func main() {
 		seed     = flag.Uint64("seed", 42, "market seed")
 		hours    = flag.Float64("hours", 720, "market history length")
 		replays  = flag.Int("replay", 0, "Monte Carlo replays of the adaptive strategy (0 = skip)")
-		parallel = flag.Int("parallel", 0, "optimizer/replay worker count (0 = GOMAXPROCS, 1 = serial; results are identical)")
+		parallel = flag.Int("parallel", 0, "replay worker count (0 = GOMAXPROCS, 1 = serial; results are identical)")
 	)
 	flag.Parse()
 
@@ -71,7 +71,7 @@ func main() {
 	fmt.Printf("deadline: %.1fh (%.2fx baseline)\n\n", dl, *deadline)
 
 	train := m.Window(0, baselines.History)
-	res, err := opt.OptimizeContext(context.Background(), opt.Config{Profile: profile, Market: train, Deadline: dl, Workers: *parallel})
+	res, err := opt.OptimizeContext(context.Background(), opt.Config{Profile: profile, Market: train, Deadline: dl})
 	if err != nil {
 		log.Fatalf("optimization failed: %v", err)
 	}
@@ -99,7 +99,6 @@ func runExplain(args []string) {
 		deadline = fs.Float64("deadline", 1.5, "deadline as a multiple of Baseline Time")
 		seed     = fs.Uint64("seed", 42, "market seed")
 		hours    = fs.Float64("hours", 720, "market history length")
-		parallel = fs.Int("parallel", 0, "optimizer worker count (0 = GOMAXPROCS)")
 		asJSON   = fs.Bool("json", false, "dump the raw trail as JSON instead of rendering it")
 	)
 	fs.Parse(args)
@@ -114,7 +113,7 @@ func runExplain(args []string) {
 
 	train := m.Window(0, baselines.History)
 	res, err := opt.OptimizeContext(context.Background(),
-		opt.Config{Profile: profile, Market: train, Deadline: dl, Workers: *parallel, Explain: true})
+		opt.Config{Profile: profile, Market: train, Deadline: dl, Explain: true})
 	if err != nil {
 		log.Fatalf("optimization failed: %v", err)
 	}
@@ -130,8 +129,8 @@ func runExplain(args []string) {
 	}
 
 	fmt.Printf("workload %s, deadline %.1fh (%.2fx baseline)\n", profile.Name, dl, *deadline)
-	fmt.Printf("search: kappa=%d grid=%d workers=%d  baseline $%.0f on-demand\n\n",
-		ex.Kappa, ex.GridLevels, ex.Workers, ex.BaselineCost)
+	fmt.Printf("search: kappa=%d grid=%d  baseline $%.0f on-demand\n\n",
+		ex.Kappa, ex.GridLevels, ex.BaselineCost)
 	fmt.Println("stages:")
 	for _, st := range ex.Stages {
 		fmt.Printf("  %-22s %s\n", st.Name, time.Duration(st.DurationNs).Round(time.Microsecond))

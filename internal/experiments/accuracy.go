@@ -92,7 +92,7 @@ func AccModel(p Params) *report.Table {
 		// the formulas, not day-over-day market drift. Train and replay
 		// on one 10-day window.
 		train := m.Window(0, 240)
-		res, err := opt.OptimizeContext(context.Background(), opt.Config{Profile: pr, Market: train, Deadline: deadline, Workers: p.Workers})
+		res, err := opt.OptimizeContext(context.Background(), opt.Config{Profile: pr, Market: train, Deadline: deadline})
 		if err != nil {
 			continue
 		}

@@ -36,9 +36,10 @@ type Params struct {
 	Runs int
 	// Apps restricts the workloads (nil = the paper's full set).
 	Apps []app.Profile
-	// Workers is the optimizer/replay worker count (0 = GOMAXPROCS,
-	// 1 = serial). Every experiment's numbers are identical at any
-	// worker count; only wall-clock changes.
+	// Workers sizes the Monte Carlo replay and tournament cell pools
+	// (0 = GOMAXPROCS, 1 = serial); the optimizer always searches on one
+	// worker. Every experiment's numbers are identical at any worker
+	// count; only wall-clock changes.
 	Workers int
 }
 

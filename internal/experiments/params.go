@@ -52,7 +52,6 @@ func Kappa(p Params) *report.Table {
 		startT := time.Now()
 		res, err := opt.OptimizeContext(context.Background(), opt.Config{
 			Profile: pr, Market: m, Deadline: deadline, Kappa: kappa,
-			Workers: p.Workers,
 		})
 		if err != nil {
 			t.Add(kappa, "infeasible", 0, 0)

@@ -27,10 +27,9 @@ func BenchmarkOptimize(b *testing.B) {
 }
 
 // BenchmarkOptimizeSearch compares the search configurations: the
-// exhaustive serial search (the pre-parallel baseline), branch-and-bound
-// alone, and branch-and-bound on the full worker pool. All three return
-// the same plan (TestOptimizeParallelDeterministic); only the work to
-// find it differs.
+// exhaustive search (the pre-pruning baseline) and branch-and-bound.
+// Both return the same plan (TestOptimizeIgnoresWorkers); only the work
+// to find it differs.
 func BenchmarkOptimizeSearch(b *testing.B) {
 	m := cloud.GenerateMarket(cloud.DefaultCatalog(), cloud.DefaultZones(), 24*14, 42)
 	p := app.BT()
@@ -39,9 +38,8 @@ func BenchmarkOptimizeSearch(b *testing.B) {
 		name string
 		cfg  Config
 	}{
-		{"serial-exhaustive", Config{Workers: 1, DisablePruning: true}},
-		{"serial-pruned", Config{Workers: 1}},
-		{"parallel-pruned", Config{Workers: 0}},
+		{"serial-exhaustive", Config{DisablePruning: true}},
+		{"serial-pruned", Config{}},
 	} {
 		cfg := bc.cfg
 		cfg.Profile, cfg.Market, cfg.Deadline = p, m, deadline
@@ -61,7 +59,7 @@ func BenchmarkOptimizeSearch(b *testing.B) {
 
 // BenchmarkPlanMiss is the ledger's plan-miss pass in-process: every app
 // preset at six stratified deadlines in U[40,120) h on the plan-miss
-// training view, Workers: 1, against a ReuseCache warmed the way the
+// training view, against a ReuseCache warmed the way the
 // workload's warm-up warms sompid's (every preset at 100 h). One op is
 // one pass of 48 plans; ns/plan, evals/plan and pruned/plan are the
 // numbers to compare across a search change.
@@ -75,7 +73,7 @@ func BenchmarkPlanMiss(b *testing.B) {
 			b.Fatalf("no preset %q", name)
 		}
 		profiles = append(profiles, p)
-		if _, err := OptimizeContext(context.Background(), Config{Profile: p, Market: view, Deadline: 100, Workers: 1, Reuse: cache}); err != nil {
+		if _, err := OptimizeContext(context.Background(), Config{Profile: p, Market: view, Deadline: 100, Reuse: cache}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -85,7 +83,7 @@ func BenchmarkPlanMiss(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		for _, p := range profiles {
 			for _, d := range deadlines {
-				res, err := OptimizeContext(context.Background(), Config{Profile: p, Market: view, Deadline: d, Workers: 1, Reuse: cache})
+				res, err := OptimizeContext(context.Background(), Config{Profile: p, Market: view, Deadline: d, Reuse: cache})
 				if err != nil {
 					b.Fatal(err)
 				}

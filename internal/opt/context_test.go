@@ -10,17 +10,16 @@ import (
 	"sompi/internal/cloud"
 )
 
-// fullSearchConfig is a deliberately large search (exhaustive, serial,
-// all twelve markets on an eight-level grid): ~2·10^6 leaves, several
+// fullSearchConfig is a deliberately large search (exhaustive, all
+// twelve markets on an eight-level grid): ~2·10^6 leaves, several
 // hundred milliseconds, long enough that a mid-flight cancellation lands
-// while workers are still descending the bid grids on any machine. (The
+// while the search is still descending the bid grids on any machine. (The
 // default knobs' ~10^5 leaves finish in about 30 ms.)
 func fullSearchConfig(m *cloud.Market) Config {
 	return Config{
 		Profile:        app.BT(),
 		Market:         m,
 		Deadline:       200,
-		Workers:        1,
 		DisablePruning: true,
 		MaxGroups:      12,
 		GridLevels:     8,
@@ -30,7 +29,7 @@ func fullSearchConfig(m *cloud.Market) Config {
 func TestConfigKnobsOverrideDefaults(t *testing.T) {
 	m := testMarket(5)
 	cfg := smallConfig(m, app.BT(), 60)
-	cfg.Kappa, cfg.Workers, cfg.GridLevels, cfg.MaxGroups = 1, 1, 2, 2
+	cfg.Kappa, cfg.GridLevels, cfg.MaxGroups = 1, 2, 2
 	res, err := OptimizeContext(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -3,6 +3,7 @@ package opt
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -29,10 +30,12 @@ func fingerprint(res Result) string {
 	return b.String()
 }
 
-// TestOptimizeParallelDeterministic is the tentpole guarantee: the
-// parallel search returns a plan and estimate byte-identical to the
-// serial path at every worker count, with and without pruning.
-func TestOptimizeParallelDeterministic(t *testing.T) {
+// TestOptimizeIgnoresWorkers: the search runs on one goroutine, so at
+// GOMAXPROCS 2 every Workers value returns the same Plan, Est, Evals and
+// Pruned, and with pruning on or off the plan and estimate are
+// byte-identical to the exhaustive search's.
+func TestOptimizeIgnoresWorkers(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	for _, seed := range []uint64{3, 11, 42} {
 		m := testMarket(seed)
 		for _, p := range []app.Profile{app.BT(), app.FT()} {
@@ -40,7 +43,6 @@ func TestOptimizeParallelDeterministic(t *testing.T) {
 			base := Config{Profile: p, Market: m, Deadline: deadline}
 
 			ref := base
-			ref.Workers = 1
 			ref.DisablePruning = true
 			want, err := OptimizeContext(context.Background(), ref)
 			if err != nil {
@@ -48,8 +50,9 @@ func TestOptimizeParallelDeterministic(t *testing.T) {
 			}
 			wantFP := fingerprint(want)
 
-			for _, workers := range []int{1, 2, 8} {
-				for _, pruned := range []bool{false, true} {
+			for _, pruned := range []bool{false, true} {
+				var first Result
+				for _, workers := range []int{0, 1, 2} {
 					cfg := base
 					cfg.Workers = workers
 					cfg.DisablePruning = !pruned
@@ -58,8 +61,14 @@ func TestOptimizeParallelDeterministic(t *testing.T) {
 						t.Fatal(err)
 					}
 					if fp := fingerprint(got); fp != wantFP {
-						t.Errorf("seed %d %s workers=%d pruning=%v diverged from serial:\ngot:\n%s\nwant:\n%s",
+						t.Errorf("seed %d %s workers=%d pruning=%v diverged from exhaustive:\ngot:\n%s\nwant:\n%s",
 							seed, p.Name, workers, pruned, fp, wantFP)
+					}
+					if workers == 0 {
+						first = got
+					} else if got.Evals != first.Evals || got.Pruned != first.Pruned {
+						t.Errorf("seed %d %s workers=%d pruning=%v: evals/pruned %d/%d, workers=0 gave %d/%d",
+							seed, p.Name, workers, pruned, got.Evals, got.Pruned, first.Evals, first.Pruned)
 					}
 				}
 			}
@@ -74,7 +83,7 @@ func TestOptimizePruningCounts(t *testing.T) {
 	p := app.BT()
 	deadline := FastestOnDemand(nil, p).T * 1.5
 
-	cfg := Config{Profile: p, Market: m, Deadline: deadline, Workers: 1}
+	cfg := Config{Profile: p, Market: m, Deadline: deadline}
 	res, err := OptimizeContext(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -14,8 +14,10 @@ import (
 // nothing and allocates nothing — and rides on Result.Explain, which is
 // what /v1/plan?explain=1 and `sompi explain` render.
 type Explain struct {
-	// Kappa, GridLevels and Workers are the effective (defaulted) search
-	// knobs the trail was produced under.
+	// Kappa and GridLevels are the effective (defaulted) search knobs
+	// the trail was produced under. Workers is always 1: the search runs
+	// on one goroutine, and the field stays because the v1 API never
+	// removes a response field.
 	Kappa      int `json:"kappa"`
 	GridLevels int `json:"grid_levels"`
 	Workers    int `json:"workers"`
@@ -31,7 +33,7 @@ type Explain struct {
 	// (empty means pure on-demand won).
 	Selected []string `json:"selected"`
 	// WorkUnits is how many balanced prefix units the subset space was
-	// split into for the worker pool.
+	// split into for the dispatch order.
 	WorkUnits int `json:"work_units,omitempty"`
 	// Evals and Pruned mirror Result's search-effort counters;
 	// SavedEvals mirrors Result.SavedEvals (reuse-memo hits).

@@ -3,6 +3,7 @@ package opt
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -46,7 +47,7 @@ func TestExplainTrail(t *testing.T) {
 		}
 	}
 
-	if ex.Kappa != 2 || ex.GridLevels != 4 || ex.Workers < 1 {
+	if ex.Kappa != 2 || ex.GridLevels != 4 || ex.Workers != 1 {
 		t.Fatalf("effective knobs wrong: %+v", ex)
 	}
 	if ex.BaselineCost <= 0 {
@@ -148,14 +149,16 @@ func TestExplainDeadlineRejections(t *testing.T) {
 }
 
 // TestOptimizeSpans holds DESIGN §16 O1 by a count rather than a clock:
-// with a collector installed a plan records exactly 6 + workers spans —
-// opt.optimize, the five stage spans and one opt.search.worker per
-// worker — however many leaves it evaluates. So the disabled path,
-// where every one of those sites is an allocation-free context lookup
+// with a collector installed a plan records exactly 6 + 1 spans —
+// opt.optimize, the five stage spans and one opt.search.worker for the
+// one search pass — however many leaves it evaluates and whatever
+// Workers says, at GOMAXPROCS 2. So the disabled path, where every one
+// of those sites is an allocation-free context lookup
 // (TestDisabledPathZeroAlloc; newStageClock is nil), does O(1) of them
 // per plan. The two configs' evaluation counts differ by over 100×; a
 // span site inside the per-unit or per-leaf loops breaks the count.
 func TestOptimizeSpans(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	bt := app.BT()
 	configs := []struct {
 		name string
@@ -166,7 +169,7 @@ func TestOptimizeSpans(t *testing.T) {
 	}
 	var evals [2]int
 	for i, tc := range configs {
-		for _, workers := range []int{1, 2} {
+		for _, workers := range []int{0, 1, 2} {
 			cfg := tc.cfg
 			cfg.Workers = workers
 			c := obs.NewCollector(256)
@@ -196,15 +199,15 @@ func TestOptimizeSpans(t *testing.T) {
 				"opt.bid_grid":             1,
 				"opt.rank_candidates":      1,
 				"opt.subset_search":        1,
-				"opt.search.worker":        workers,
+				"opt.search.worker":        1,
 			}
 			if fmt.Sprint(byName) != fmt.Sprint(want) {
-				t.Errorf("%s config, %d workers, %d evals: %d spans %v, want 1 + 6 + %d %v",
-					tc.name, workers, res.Evals, len(spans), byName, workers, want)
+				t.Errorf("%s config, %d workers, %d evals: %d spans %v, want 1 + 6 + 1 %v",
+					tc.name, workers, res.Evals, len(spans), byName, want)
 			}
 		}
 	}
-	t.Logf("evals at one worker: %d and %d", evals[0], evals[1])
+	t.Logf("evals: %d and %d", evals[0], evals[1])
 	if evals[1] < 100*evals[0] {
 		t.Fatalf("evals %d and %d differ by less than 100x; the count would not show a per-leaf span", evals[0], evals[1])
 	}

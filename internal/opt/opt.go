@@ -10,9 +10,7 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"runtime"
 	"sort"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -74,9 +72,10 @@ type Config struct {
 	// its final committed window, where an all-groups-dead outcome means
 	// an on-demand recovery that can overshoot the deadline.
 	MaxAllFail float64
-	// Workers is the number of concurrent subset-search workers. Zero
-	// means runtime.GOMAXPROCS(0); 1 forces a fully serial search. The
-	// returned Plan and Est are byte-identical at every worker count.
+	// Workers has no effect: the subset search runs on one goroutine.
+	// A negative value is still ErrInvalidConfig.
+	//
+	// Deprecated: leave it zero.
 	Workers int
 	// DisablePruning turns off the branch-and-bound lower-bound cuts,
 	// forcing exhaustive enumeration. The optimum is unaffected either
@@ -260,20 +259,15 @@ type Result struct {
 	// counts the evaluations branch-and-bound skipped because a partial
 	// plan's spot cost already exceeded the incumbent best.
 	//
-	// Determinism contract: Plan and Est are bit-identical at every
-	// worker count, with or without pruning, warm starting and reuse.
-	// Evals and Pruned are exactly deterministic at Workers: 1 — the
-	// single worker drains the unit queue in the fixed dispatch order,
-	// so the incumbent trajectory is a pure function of the Config; two
-	// identical calls return identical counters, which the determinism
-	// tests assert. Config.Reuse never touches the search: it can only
-	// move ranking evaluations (at most GridLevels per reused group) from
-	// Evals into SavedEvals, so Pruned and Evals+SavedEvals are the same
-	// with or without it. At Workers > 1 the counters are boundedly
-	// nondeterministic: scheduling decides how quickly the shared
-	// incumbent tightens, so Evals+Pruned still covers the same leaf
-	// space but the split between the two (and Evals itself) varies run
-	// to run.
+	// Determinism contract: Plan and Est are bit-identical with or
+	// without pruning, warm starting and reuse. Evals and Pruned are
+	// exactly deterministic too — the one searcher drains the units in
+	// the fixed dispatch order, so the incumbent trajectory is a pure
+	// function of the Config; two identical calls return identical
+	// counters, which the determinism tests assert. Config.Reuse never
+	// touches the search: it can only move ranking evaluations (at most
+	// GridLevels per reused group) from Evals into SavedEvals, so Pruned
+	// and Evals+SavedEvals are the same with or without it.
 	Evals  int
 	Pruned int
 	// SavedEvals counts ranking-stage standalone evaluations answered by
@@ -325,7 +319,7 @@ func OptimizeContext(ctx context.Context, cfg Config) (Result, error) {
 	var ex *Explain
 	var t0 time.Time
 	if cfg.Explain {
-		ex = &Explain{Kappa: cfg.Kappa, GridLevels: cfg.GridLevels}
+		ex = &Explain{Kappa: cfg.Kappa, GridLevels: cfg.GridLevels, Workers: 1}
 		t0 = time.Now()
 	}
 	ctx, osp := obs.StartSpan(ctx, "opt.optimize")
@@ -523,39 +517,27 @@ func OptimizeContext(ctx context.Context, cfg Config) (Result, error) {
 	// Traverse every subset of up to κ circle groups (Section 4.4's
 	// "traverse all of possible cases each with a specific combination"),
 	// and within each subset every combination of grid bids. buildUnits
-	// splits the subset space into balanced prefix work units — the old
-	// one-partition-per-first-index scheme put the lion's share of the
-	// space in partition 0, serializing the search on one worker — and
-	// dispatchOrder runs cheap-spot-floor units first so the shared
-	// atomic incumbent tightens while most of the space is still queued.
-	// Workers keep a per-unit best and share only the monotonically-
-	// tightening incumbent cost for pruning; the final merge walks units
-	// in canonical (serial traversal) order with a strict < comparison,
-	// which reproduces the serial first-strictly-better-wins tie-breaking
-	// exactly (see searcher.searchBids for why pruning cannot disturb the
-	// winner). Unit boundaries depend only on the grid shape, never on
-	// the worker count, so plans are bit-identical at every Workers
-	// value.
+	// splits the subset space into prefix work units and dispatchOrder
+	// visits cheap-spot-floor units first, so the incumbent tightens
+	// while most of the space is still ahead. One searcher drains the
+	// units in that order on the caller's goroutine: the incumbent
+	// trajectory — and with it Evals and Pruned — is a pure function of
+	// the Config. Each unit keeps its own best; the merge walks units in
+	// canonical (recursive traversal) order with a strict < comparison,
+	// which fixes the first-strictly-better-wins tie-break (see
+	// searcher.searchBids for why pruning cannot disturb the winner).
 	gridLen := make([]int, len(groups))
 	for i := range prepared {
 		gridLen[i] = len(prepared[i])
 	}
 	units := buildUnits(gridLen, minSpot, kappa)
 	order := dispatchOrder(units)
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(units) {
-		workers = len(units)
-	}
 	if ex != nil {
-		ex.Workers = workers
 		ex.WorkUnits = len(units)
 	}
 
 	// Cancellation: a watcher goroutine flips stop when ctx is done, and
-	// every worker polls the flag on each bid-grid descent, so an
+	// the searcher polls the flag on each bid-grid descent, so an
 	// abandoned request stops burning CPU within roughly one cost-model
 	// evaluation. Polling an atomic bool costs ~1ns against the ~µs
 	// evaluation, which is why the flag is checked per grid point rather
@@ -574,85 +556,36 @@ func OptimizeContext(ctx context.Context, cfg Config) (Result, error) {
 	}
 
 	// runSearch traverses every unit with the pruning incumbent seeded at
-	// seed and merges in canonical order. It is invoked once warm, and a
-	// second time cold if the warm seed proves inadmissible. Only the
-	// incumbent is seeded; the acceptance threshold (searcher.localBound)
-	// always starts from the on-demand baseline, so an admissible seed —
-	// including one exactly equal to the optimum — changes which leaves
-	// are pruned but never which of the surviving leaves is accepted.
-	baselineCost := best.Est.Cost
+	// seed and merges in canonical order, under one opt.search.worker
+	// span. It is invoked once warm, and a second time cold if the warm
+	// seed proves inadmissible. Only the incumbent is seeded; the
+	// acceptance threshold (searcher.localBound) always starts from the
+	// on-demand baseline, so an admissible seed — including one exactly
+	// equal to the optimum — changes which leaves are pruned but never
+	// which of the surviving leaves is accepted.
+	s := &searcher{
+		cfg:       cfg,
+		od:        od,
+		odT:       od.T,
+		odRate:    od.Rate(),
+		prepared:  prepared,
+		minSpot:   minSpot,
+		kappa:     kappa,
+		baseline:  best.Est.Cost,
+		stop:      &stop,
+		subset:    make([]int, 0, kappa),
+		pgs:       make([]*model.PreparedGroup, 0, kappa),
+		stack:     model.NewPrefixStack(prepared, kappa-1),
+		partial:   make([]float64, kappa+1),
+		suffixMin: make([]float64, kappa+1),
+		leaves:    make([]int, kappa+1),
+	}
+	results := make([]unitResult, len(units))
 	runSearch := func(seed float64) (bestUnit Result, found bool, evals, pruned int) {
-		incumbent := newSharedCost(seed)
-		results := make([]unitResult, len(units))
-		newSearcher := func() *searcher {
-			return &searcher{
-				cfg:       cfg,
-				od:        od,
-				odT:       od.T,
-				odRate:    od.Rate(),
-				prepared:  prepared,
-				minSpot:   minSpot,
-				kappa:     kappa,
-				baseline:  baselineCost,
-				incumbent: incumbent,
-				stop:      &stop,
-				subset:    make([]int, 0, kappa),
-				pgs:       make([]*model.PreparedGroup, 0, kappa),
-				stack:     model.NewPrefixStack(prepared, kappa-1),
-				partial:   make([]float64, kappa+1),
-				suffixMin: make([]float64, kappa+1),
-				leaves:    make([]int, kappa+1),
-			}
-		}
-		// drain is one worker's loop: search the units next hands out until
-		// it runs dry, under one opt.search.worker span.
-		drain := func(s *searcher, next func() (int, bool)) {
-			_, wsp := obs.StartSpan(ctx, "opt.search.worker")
-			unitsRun, wevals, wpruned := 0, 0, 0
-			for ui, ok := next(); ok; ui, ok = next() {
-				results[ui] = s.searchUnit(&units[ui])
-				unitsRun++
-				wevals += results[ui].evals
-				wpruned += results[ui].pruned
-			}
-			if wsp != nil {
-				wsp.AttrInt("units", int64(unitsRun))
-				wsp.AttrInt("evals", int64(wevals))
-				wsp.AttrInt("pruned", int64(wpruned))
-				wsp.End()
-			}
-		}
-		if workers == 1 {
-			// Serial fast path: one searcher drains the dispatch order
-			// in-line on the caller's goroutine, so the incumbent trajectory
-			// — and with it Evals and Pruned — is a pure function of the
-			// Config.
-			i := 0
-			drain(newSearcher(), func() (int, bool) {
-				if i == len(order) {
-					return 0, false
-				}
-				i++
-				return order[i-1], true
-			})
-		} else {
-			tasks := make(chan int)
-			var wg sync.WaitGroup
-			for w := 0; w < workers; w++ {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					drain(newSearcher(), func() (int, bool) {
-						ui, ok := <-tasks
-						return ui, ok
-					})
-				}()
-			}
-			for _, ui := range order {
-				tasks <- ui
-			}
-			close(tasks)
-			wg.Wait()
+		_, wsp := obs.StartSpan(ctx, "opt.search.worker")
+		s.incumbent = seed
+		for _, ui := range order {
+			results[ui] = s.searchUnit(&units[ui])
 		}
 		for i := range results {
 			r := &results[i]
@@ -662,6 +595,12 @@ func OptimizeContext(ctx context.Context, cfg Config) (Result, error) {
 				bestUnit = r.best
 				found = true
 			}
+		}
+		if wsp != nil {
+			wsp.AttrInt("units", int64(len(units)))
+			wsp.AttrInt("evals", int64(evals))
+			wsp.AttrInt("pruned", int64(pruned))
+			wsp.End()
 		}
 		return bestUnit, found, evals, pruned
 	}
@@ -734,32 +673,6 @@ func selectRelaxed(cfg Config) (model.OnDemand, error) {
 	return od, err
 }
 
-// sharedCost is the workers' shared incumbent: the cheapest plan cost
-// found so far, stored as positive-float bits so a CAS loop can lower it
-// monotonically without locks. For positive IEEE-754 floats the bit
-// pattern orders identically to the value.
-type sharedCost struct {
-	bits atomic.Uint64
-}
-
-func newSharedCost(c float64) *sharedCost {
-	s := &sharedCost{}
-	s.bits.Store(math.Float64bits(c))
-	return s
-}
-
-func (s *sharedCost) load() float64 { return math.Float64frombits(s.bits.Load()) }
-
-func (s *sharedCost) lower(c float64) {
-	bits := math.Float64bits(c)
-	for {
-		cur := s.bits.Load()
-		if bits >= cur || s.bits.CompareAndSwap(cur, bits) {
-			return
-		}
-	}
-}
-
 // unitResult is one work unit's contribution to the final merge.
 type unitResult struct {
 	best   Result
@@ -768,10 +681,9 @@ type unitResult struct {
 	pruned int
 }
 
-// searcher is the per-worker search state: scratch buffers and an
-// allocation-free evaluator, reused across every work unit the worker
-// pulls. Nothing in it is shared; the only cross-worker communication is
-// the incumbent cost.
+// searcher is the search state: scratch buffers, an allocation-free
+// evaluator and the incumbent — the cheapest plan cost found so far,
+// which only tightens — reused across every work unit.
 type searcher struct {
 	cfg       Config
 	od        model.OnDemand
@@ -779,7 +691,7 @@ type searcher struct {
 	minSpot   []float64
 	kappa     int
 	baseline  float64
-	incumbent *sharedCost
+	incumbent float64
 	stop      *atomic.Bool
 	eval      model.Evaluator
 	// odT and odRate are od.T and od.Rate(), read once instead of per leaf.
@@ -852,7 +764,7 @@ func (s *searcher) searchSubset() {
 		s.leaves[d] = s.leaves[d+1] * len(s.prepared[s.subset[d]])
 		s.suffixMin[d] = s.suffixMin[d+1] + s.minSpot[s.subset[d]]
 	}
-	if !s.cfg.DisablePruning && s.suffixMin[0] > s.incumbent.load() {
+	if !s.cfg.DisablePruning && s.suffixMin[0] > s.incumbent {
 		// Even the cheapest bid choice for every member exceeds the
 		// incumbent: skip the whole subset.
 		s.pruned += s.leaves[0]
@@ -879,8 +791,8 @@ func (s *searcher) searchBids(depth int) {
 		// incumbent, its bounds never strictly exceed a value the
 		// incumbent (which only tightens) held at any earlier time, so
 		// the winning leaf is always evaluated — which is what makes the
-		// result independent of worker count and pruning alike.
-		if !s.cfg.DisablePruning && bound > s.incumbent.load() {
+		// result independent of pruning and of the warm seed alike.
+		if !s.cfg.DisablePruning && bound > s.incumbent {
 			s.pruned += s.leaves[depth+1]
 			continue
 		}
@@ -902,14 +814,14 @@ func (s *searcher) searchBids(depth int) {
 // passed; cost settles most leaves, so it is priced first, against the
 // prefix stack, and only a leaf that passes pays for the full estimate —
 // which, like the one the Result carries, is the reference evaluator's.
-// A leaf whose O(1) lower bound is already above the shared incumbent is
+// A leaf whose O(1) lower bound is already above the incumbent is
 // cut before the walk, and the walk stops at it (DESIGN §6): a cut leaf
 // counts in Evals but never meets the unit-local acceptance test.
 func (s *searcher) leaf(last *model.PreparedGroup) {
 	s.evals++
 	limit := math.Inf(1)
 	if !s.cfg.DisablePruning {
-		limit = s.incumbent.load()
+		limit = s.incumbent
 	}
 	if bound := s.stack.LeafBound(last, s.odT, s.odRate); bound > limit {
 		if leafAudit != nil {
@@ -936,7 +848,9 @@ func (s *searcher) leaf(last *model.PreparedGroup) {
 		}
 		s.best = Result{Plan: model.Plan{Groups: gps, Recovery: s.od}, Est: est}
 		s.found = true
-		s.incumbent.lower(est.Cost)
+		if est.Cost < s.incumbent {
+			s.incumbent = est.Cost
+		}
 	}
 }
 
@@ -946,11 +860,12 @@ func (s *searcher) leaf(last *model.PreparedGroup) {
 // the package's tests sets it.
 var leafAudit func(s *searcher, last *model.PreparedGroup, cost, limit float64, within bool)
 
-// localBound is the acceptance threshold for the current partition: the
-// partition's own best if it has one, else the pure-on-demand baseline.
-// Acceptance must not consult the shared incumbent — another partition's
-// equal-cost plan would otherwise block this one nondeterministically —
-// so determinism comes from per-partition bests merged in index order.
+// localBound is the acceptance threshold for the current unit: the
+// unit's own best if it has one, else the pure-on-demand baseline.
+// Acceptance must not consult the incumbent — an equal-cost plan from a
+// unit dispatched earlier would otherwise block this one, and the
+// tie-break would follow the dispatch order — so the tie-break comes
+// from per-unit bests merged in canonical order.
 func (s *searcher) localBound() float64 {
 	if s.found {
 		return s.best.Est.Cost

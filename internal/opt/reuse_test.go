@@ -37,7 +37,7 @@ func TestReuseCacheSharesPassagesAcrossProfiles(t *testing.T) {
 		requested := 0
 		for _, name := range planMissPresets {
 			p, _ := app.ByName(name)
-			cfg := Config{Profile: p, Market: view, Deadline: deadline, Workers: 1}
+			cfg := Config{Profile: p, Market: view, Deadline: deadline}
 			cold, err := OptimizeContext(ctx, cfg)
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)

@@ -6,9 +6,9 @@ import "sort"
 // that start with exactly this group-index prefix. expand=false means
 // only the prefix subset itself (its bid grid); expand=true means the
 // prefix plus every extension by higher indices, i.e. the whole subtree
-// below it. Splitting by prefix keeps the serial recursion's visit
-// order inside each unit, which is what the strict-< canonical-order
-// merge needs for bit-identical plans at any worker count.
+// below it. Splitting by prefix keeps the recursion's visit order
+// inside each unit, which is what the strict-< canonical-order merge
+// needs for a tie-break independent of the dispatch order.
 type workUnit struct {
 	prefix []int
 	expand bool
@@ -16,13 +16,15 @@ type workUnit struct {
 	// measure the splitter equalizes.
 	est float64
 	// hint is the prefix's spot-cost floor; dispatching cheap-floor
-	// units first tends to tighten the shared incumbent early.
+	// units first tends to tighten the incumbent early.
 	hint float64
 }
 
 // unit sizing targets: enough units that the largest is a small
-// fraction of the space (so no worker becomes the critical path), but
-// never so fine that units drop below a meaningful grain of leaves.
+// fraction of the space (so the cheap-floor-first order reaches into
+// every region early), but never so fine that units drop below a
+// meaningful grain of leaves. The unit set fixes the visit order, so
+// changing either constant moves Evals and Pruned (never the plan).
 const (
 	targetUnits  = 64
 	minUnitGrain = 256
@@ -38,9 +40,9 @@ const (
 // into (a) the prefix's own subset and (b) one unit per child prefix,
 // so unit sizes converge toward the grain regardless of skew.
 //
-// Unit boundaries depend only on (gridLen, kappa) — never on the worker
-// count or timing — so the unit set, and therefore the merged result,
-// is identical for every Workers value.
+// Unit boundaries depend only on (gridLen, kappa) — never on timing —
+// so the unit set, and therefore the merged result and the search's
+// counters, are a pure function of the grid shape.
 func buildUnits(gridLen []int, minSpot []float64, kappa int) []workUnit {
 	n := len(gridLen)
 	// ext[i][r]: leaves contributed by all subsets of up to r further
@@ -101,7 +103,7 @@ func buildUnits(gridLen []int, minSpot []float64, kappa int) []workUnit {
 
 // dispatchOrder returns unit indices in execution order: ascending
 // spot-cost floor, so the likeliest-cheap regions run first and the
-// shared incumbent tightens while most of the space is still queued.
+// incumbent tightens while most of the space is still ahead.
 // Ties break on canonical (slice) order. The order affects only how
 // fast pruning bites, never the merged result — that merge always walks
 // canonical order.

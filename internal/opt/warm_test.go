@@ -17,7 +17,6 @@ import (
 func TestWorkUnitsCoverSpaceExactly(t *testing.T) {
 	m := testMarket(7)
 	cfg := smallConfig(m, app.BT(), 60)
-	cfg.Workers = 1
 	cfg.DisablePruning = true
 	cfg.Candidates = m.Keys()[:4] // = MaxGroups: no ranking evals
 	res, err := OptimizeContext(context.Background(), cfg)
@@ -51,8 +50,8 @@ func TestWorkUnitsCoverSpaceExactly(t *testing.T) {
 
 // TestScalingSmoke is the CI fast-path: the unit splitter must produce a
 // balanced decomposition (the old first-index partitioning put the
-// majority of the space in partition 0), and a 2-worker search must
-// return the byte-identical plan of a 1-worker search on a small market.
+// majority of the space in partition 0). The units fix the visit order,
+// so they pin Evals and Pruned.
 func TestScalingSmoke(t *testing.T) {
 	// The bench shape: 12 markets x 6 grid points, kappa 4.
 	gridLen := make([]int, 12)
@@ -77,28 +76,13 @@ func TestScalingSmoke(t *testing.T) {
 		t.Fatalf("largest unit holds %.1f%% of the space, want <= 10%%", 100*largest/total)
 	}
 
-	m := testMarket(3)
-	cfg := smallConfig(m, app.BT(), 60)
-	cfg.Workers = 1
-	serial, err := OptimizeContext(context.Background(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.Workers = 2
-	par, err := OptimizeContext(context.Background(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fingerprint(serial) != fingerprint(par) {
-		t.Fatalf("2-worker plan differs from serial:\n%s\nvs\n%s", fingerprint(par), fingerprint(serial))
-	}
 }
 
 // TestWarmDeltaByteIdentical is the seed-swept property test: after the
 // market ticks, a warm-started (InitialIncumbent from the previous
 // plan) and delta-evaluated (ReuseCache from the previous optimization)
-// search must return plans byte-identical to a cold Workers: 1 search —
-// at every worker count — while doing strictly less evaluation work.
+// search must return plans byte-identical to a cold search while doing
+// strictly less evaluation work.
 // It also pins what the cache is: prepared state for exactly the
 // un-ticked shards, ranking evaluations moved out of Evals and nothing
 // else, and one slot per (shard, profile) however many runs share it.
@@ -111,7 +95,7 @@ func TestWarmDeltaByteIdentical(t *testing.T) {
 	for _, seed := range []uint64{1, 2, 3, 11, 42} {
 		m := testMarket(seed)
 		cache := NewReuseCache()
-		cfg0 := Config{Profile: p, Market: m.Snapshot(), Deadline: deadline, Workers: 1, Reuse: cache}
+		cfg0 := Config{Profile: p, Market: m.Snapshot(), Deadline: deadline, Reuse: cache}
 		res0, err := OptimizeContext(ctx, cfg0)
 		if err != nil {
 			t.Fatal(err)
@@ -126,7 +110,7 @@ func TestWarmDeltaByteIdentical(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		coldCfg := Config{Profile: p, Market: m.Snapshot(), Deadline: deadline, Workers: 1}
+		coldCfg := Config{Profile: p, Market: m.Snapshot(), Deadline: deadline}
 		cold, err := OptimizeContext(ctx, coldCfg)
 		if err != nil {
 			t.Fatal(err)
@@ -154,24 +138,23 @@ func TestWarmDeltaByteIdentical(t *testing.T) {
 		// The first warm run finds only the un-ticked shards in the cache
 		// and registers the two ticked ones; the second finds them all.
 		wantReused := unticked
-		for _, workers := range []int{1, 3} {
-			warmCfg.Workers = workers
+		for pass := 1; pass <= 2; pass++ {
 			warm, err := OptimizeContext(ctx, warmCfg)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if fingerprint(warm) != fingerprint(cold) {
-				t.Fatalf("seed %d workers %d: warm plan differs from cold:\n%s\nvs\n%s",
-					seed, workers, fingerprint(warm), fingerprint(cold))
+				t.Fatalf("seed %d pass %d: warm plan differs from cold:\n%s\nvs\n%s",
+					seed, pass, fingerprint(warm), fingerprint(cold))
 			}
-			if workers == 1 && !warm.WarmRetried && warm.Evals > cold.Evals {
-				// Serial warm search visits a subset of the cold visit set
+			if !warm.WarmRetried && warm.Evals > cold.Evals {
+				// The warm search visits a subset of the cold visit set
 				// (the tighter incumbent only removes work).
 				t.Fatalf("seed %d: warm search evaluated more than cold: %d > %d", seed, warm.Evals, cold.Evals)
 			}
 			if warm.ReusedGroups != wantReused {
-				t.Fatalf("seed %d workers %d: reused %d groups, want %d of %d kept",
-					seed, workers, warm.ReusedGroups, wantReused, len(kept))
+				t.Fatalf("seed %d pass %d: reused %d groups, want %d of %d kept",
+					seed, pass, warm.ReusedGroups, wantReused, len(kept))
 			}
 			wantReused = len(kept)
 			totalSaved += warm.SavedEvals
@@ -211,7 +194,6 @@ func TestWarmDeltaByteIdentical(t *testing.T) {
 func TestInadmissibleIncumbentRetriesCold(t *testing.T) {
 	m := testMarket(11)
 	cfg := smallConfig(m, app.BT(), 60)
-	cfg.Workers = 1
 	cold, err := OptimizeContext(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -248,13 +230,12 @@ func TestInadmissibleIncumbentRetriesCold(t *testing.T) {
 	}
 }
 
-// TestSerialCountersDeterministic: at Workers: 1, Evals and Pruned are
-// part of the API contract — two identical calls return identical
+// TestSerialCountersDeterministic: Evals and Pruned are part of the API
+// contract — two identical calls return identical
 // counters, with and without a warm-start seed.
 func TestSerialCountersDeterministic(t *testing.T) {
 	m := testMarket(42)
 	base := smallConfig(m, app.BT(), 60)
-	base.Workers = 1
 	a, err := OptimizeContext(context.Background(), base)
 	if err != nil {
 		t.Fatal(err)
@@ -298,7 +279,7 @@ func TestConcurrentWarmReoptsShareCache(t *testing.T) {
 	cache := NewReuseCache()
 	view := m.Snapshot()
 
-	prime := Config{Profile: p, Market: view, Deadline: deadline, Workers: 1, Reuse: cache}
+	prime := Config{Profile: p, Market: view, Deadline: deadline, Reuse: cache}
 	res0, err := OptimizeContext(ctx, prime)
 	if err != nil {
 		t.Fatal(err)
@@ -311,7 +292,7 @@ func TestConcurrentWarmReoptsShareCache(t *testing.T) {
 	refCfgs := make([]Config, 8)
 	want := make([]string, len(refCfgs))
 	for i := range refCfgs {
-		refCfgs[i] = Config{Profile: p.Scale(1 - 0.1*float64(i%4)), Market: shared, Deadline: deadline, Workers: 1}
+		refCfgs[i] = Config{Profile: p.Scale(1 - 0.1*float64(i%4)), Market: shared, Deadline: deadline}
 		ref, err := OptimizeContext(ctx, refCfgs[i])
 		if err != nil {
 			t.Fatal(err)
@@ -328,7 +309,6 @@ func TestConcurrentWarmReoptsShareCache(t *testing.T) {
 			defer wg.Done()
 			cfg := refCfgs[i]
 			cfg.Reuse = cache
-			cfg.Workers = 2
 			if hint, ok := WarmBound(cfg, res0.Plan); ok {
 				cfg.InitialIncumbent = hint
 			}
@@ -358,7 +338,6 @@ func TestConcurrentWarmReoptsShareCache(t *testing.T) {
 func TestWarmBoundIsAchievedCost(t *testing.T) {
 	m := testMarket(3)
 	cfg := smallConfig(m, app.BT(), 60)
-	cfg.Workers = 1
 	res, err := OptimizeContext(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -394,7 +373,7 @@ func TestWarmBoundSourcesPassageTier(t *testing.T) {
 	seeded := 0
 	for _, name := range planMissPresets {
 		p, _ := app.ByName(name)
-		res, err := OptimizeContext(ctx, Config{Profile: p, Market: view, Deadline: 80, Workers: 1})
+		res, err := OptimizeContext(ctx, Config{Profile: p, Market: view, Deadline: 80})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}

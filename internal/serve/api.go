@@ -38,7 +38,9 @@ type PlanRequest struct {
 	// trains on; zero means the service default.
 	HistoryHours float64 `json:"history_hours,omitempty"`
 
-	// Optimizer knobs, mirroring opt.Config field for field.
+	// Optimizer knobs, mirroring opt.Config field for field. Workers is
+	// range-checked like the sompi strategy's workers param and then
+	// ignored: the search runs on one worker.
 	Workers            int     `json:"workers,omitempty"`
 	Kappa              int     `json:"kappa,omitempty"`
 	GridLevels         int     `json:"grid_levels,omitempty"`
@@ -108,8 +110,8 @@ func (pr PlanRequest) CandidateKeys(view cloud.MarketView) []cloud.MarketKey {
 }
 
 // Config builds the optimizer configuration for the request against the
-// given training market. The mapping is total: every optimizer knob the
-// request carries lands in the config — including the Types/Zones
+// given training market. Every optimizer knob the request carries but
+// the inert Workers lands in the config — including the Types/Zones
 // filters, which become opt Candidates — which is what keeps served
 // plans byte-identical to library-path OptimizeContext calls.
 func (pr PlanRequest) Config(profile app.Profile, train cloud.MarketView) opt.Config {
@@ -127,7 +129,6 @@ func (pr PlanRequest) Config(profile app.Profile, train cloud.MarketView) opt.Co
 		GridLevels:         pr.GridLevels,
 		MaxGroups:          pr.MaxGroups,
 		MaxAllFail:         pr.MaxAllFail,
-		Workers:            pr.Workers,
 		DisableCheckpoints: pr.DisableCheckpoints,
 		DisablePruning:     pr.DisablePruning,
 	}
@@ -175,9 +176,9 @@ type PlanResponse struct {
 	Estimate      EstimatePayload `json:"estimate"`
 	// Evals and Pruned report the optimizer's search effort; SavedEvals
 	// counts ranking-stage evaluations answered by the server's
-	// cross-optimization reuse cache instead. With workers=1, Pruned and
-	// Evals+SavedEvals are a pure function of the request (see
-	// opt.Result): the cache only moves a candidate's ranking
+	// cross-optimization reuse cache instead. Pruned and
+	// Evals+SavedEvals are a pure function of the request on every host
+	// (see opt.Result): the cache only moves a candidate's ranking
 	// evaluations from Evals into SavedEvals once its shard state has
 	// been seen, never the search's. The plan itself never varies.
 	Evals      int `json:"evals"`

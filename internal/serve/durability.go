@@ -517,6 +517,12 @@ func (s *Server) materializeSession(st sessionState) (*trackedSession, error) {
 	// The strategy rides the persisted request — rebuilding it here
 	// restores exactly the re-planning policy the pre-crash server ran.
 	base, strat, err := planner(st.Req, profile)
+	if err != nil && st.Req.Strategy == "" {
+		// Recorded before requests without a strategy were checked
+		// against the sompi schema: the session keeps the knobs it was
+		// accepted with rather than failing the whole recovery.
+		base, strat, err = st.Req.Config(profile, nil), nil, nil
+	}
 	if err != nil {
 		return nil, err
 	}

@@ -87,7 +87,8 @@ func promValue(t *testing.T, metrics []byte, name string) float64 {
 }
 
 // trackedPlan is the deterministic tracked request the recovery tests
-// drive: serial search so every re-optimization is reproducible.
+// drive. workers is inert; it stays 1 as in the requests the legacy
+// fixtures recorded.
 func trackedPlan() PlanRequest {
 	return PlanRequest{
 		App: "BT", DeadlineHours: 60,
@@ -432,6 +433,31 @@ func TestRecoveryFailsClosedOnCorruptStore(t *testing.T) {
 	}
 	if _, err := New(Config{Market: durableMarket(), WindowHours: 2, Store: st}); !errors.Is(err, store.ErrCorruptSnapshot) {
 		t.Fatalf("New over a corrupt snapshot: got %v, want ErrCorruptSnapshot", err)
+	}
+}
+
+// TestRecoverSessionAcceptedBeforeSchemaCheck: a data dir written before
+// requests without a strategy were checked against the sompi schema may
+// hold a session with a knob that schema refuses (workers 300 was a 200
+// then). Recovery rebuilds it on the knobs it was accepted with instead
+// of refusing the whole data dir.
+func TestRecoverSessionAcceptedBeforeSchemaCheck(t *testing.T) {
+	s, ts := newDurable(t, t.TempDir(), store.Options{})
+	durablePost(t, ts.URL+"/v1/plan", trackedPlan())
+	s.mu.Lock()
+	tr := s.sessions[s.order[0]]
+	s.mu.Unlock()
+	tr.mu.Lock()
+	st := tr.state()
+	tr.mu.Unlock()
+	st.Req.Workers = 300
+	got, err := s.materializeSession(st)
+	if err != nil {
+		t.Fatalf("rebuilding a session recorded with workers 300: %v", err)
+	}
+	if got.strat != nil || got.base.Kappa != tr.base.Kappa || got.base.GridLevels != tr.base.GridLevels ||
+		got.base.MaxGroups != tr.base.MaxGroups || got.base.Deadline != tr.base.Deadline {
+		t.Fatalf("rebuilt base %+v, registered %+v", got.base, tr.base)
 	}
 }
 

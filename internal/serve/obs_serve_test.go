@@ -86,8 +86,9 @@ func TestExplainQueryReturnsTrail(t *testing.T) {
 // TestDebugTraceEndpoint: the span ring must surface a plan request's
 // full trace — HTTP root span plus the optimizer stage spans — and an
 // ingest request's shard append under its root, filtered by request ID.
-// A /v1/plan miss records exactly http.plan plus the optimizer's 6 +
-// workers spans at either request size (DESIGN §16 O1, O2).
+// A /v1/plan miss records exactly http.plan plus the optimizer's 6 + 1
+// spans at either request size, whatever workers says (DESIGN §16 O1,
+// O2).
 func TestDebugTraceEndpoint(t *testing.T) {
 	ts := newTestServer(t, serve.Config{})
 	tracePlan := func(id string, req serve.PlanRequest) ([]obs.SpanData, int) {
@@ -131,15 +132,15 @@ func TestDebugTraceEndpoint(t *testing.T) {
 			"opt.bid_grid":             1,
 			"opt.rank_candidates":      1,
 			"opt.subset_search":        1,
-			"opt.search.worker":        req.Workers,
+			"opt.search.worker":        1,
 		}
 		if fmt.Sprint(byName) != fmt.Sprint(want) {
-			t.Fatalf("plan %s: %d spans %v, want 1 + 6 + %d %v", id, len(tr.Spans), byName, req.Workers, want)
+			t.Fatalf("plan %s: %d spans %v, want 1 + 6 + 1 %v", id, len(tr.Spans), byName, want)
 		}
 		return tr.Spans, pr.Evals
 	}
 	// The small plan at one worker, then default search knobs at two: a
-	// search over 100x larger, with one more span for the second worker.
+	// search over 100x larger, still with one opt.search.worker span.
 	planSpans, smallEvals := tracePlan("trace-test-1", smallPlan(60))
 	if _, bigEvals := tracePlan("trace-test-big", serve.PlanRequest{App: "BT", DeadlineHours: 60, Workers: 2}); bigEvals < 100*smallEvals {
 		t.Fatalf("plan evals %d and %d differ by less than 100x", smallEvals, bigEvals)

@@ -128,7 +128,7 @@ func flatTicks(hours float64) []serve.PriceTick {
 
 // TestPlanMatchesLibrary is the service's core guarantee: the served
 // plan is byte-identical to a library-path OptimizeContext call at the
-// same market version (workers=1 so Evals/Pruned are deterministic too).
+// same market version (Evals/Pruned are deterministic too).
 func TestPlanMatchesLibrary(t *testing.T) {
 	ts := newTestServer(t, serve.Config{})
 	req := smallPlan(60)
@@ -212,6 +212,26 @@ func TestPlanCacheHitAndInvalidation(t *testing.T) {
 	}
 	if v := metricValue(t, mx, "sompid_market_version"); v != 2 {
 		t.Fatalf("market version metric %v, want 2", v)
+	}
+}
+
+// TestPlanCacheIgnoresWorkers: workers is inert, so requests that differ
+// only there share one cache entry and are served the same bytes.
+func TestPlanCacheIgnoresWorkers(t *testing.T) {
+	ts := newTestServer(t, serve.Config{})
+	req := smallPlan(60)
+	req.Workers = 0
+	status, hdr, first := postJSON(t, ts.URL+"/v1/plan", req)
+	if status != http.StatusOK || hdr.Get("X-Sompid-Cache") != "miss" {
+		t.Fatalf("workers 0: %d, cache %q, want 200 miss", status, hdr.Get("X-Sompid-Cache"))
+	}
+	req.Workers = 1
+	status, hdr, second := postJSON(t, ts.URL+"/v1/plan", req)
+	if status != http.StatusOK || hdr.Get("X-Sompid-Cache") != "hit" {
+		t.Fatalf("workers 1 after workers 0: %d, cache %q, want 200 hit", status, hdr.Get("X-Sompid-Cache"))
+	}
+	if !bytes.Equal(first, second) {
+		t.Fatalf("workers 0 and 1 served different bytes:\n%s\n%s", first, second)
 	}
 }
 

@@ -448,16 +448,17 @@ func (s *Server) trainSnapshot(req PlanRequest, history float64) (snap *cloud.Ma
 	return snap, keys, frontier, snap.Window(lo, frontier-lo)
 }
 
-// planKey is the cache key: every optimizer knob, the candidate filters,
-// the strategy selection, and the version vector of the shards the
-// request actually touches. A tick on a shard outside the vector leaves
+// planKey is the cache key: every optimizer knob (but the inert
+// workers, so requests differing only there share an entry), the
+// candidate filters, the strategy selection, and the version vector of
+// the shards the request actually touches. A tick on a shard outside the vector leaves
 // the key — and the cached entry — valid, so invalidation is O(affected
 // plans), not O(cache). The strategy literal gives every strategy its
 // own cache namespace: "" and "sompi" plan identically but never
 // cross-evict, and parameterized requests key on their exact params.
 func planKey(req PlanRequest, vv cloud.VersionVector, keys []cloud.MarketKey) string {
-	return fmt.Sprintf("%s|%g|%g|%d|%d|%d|%d|%g|%g|%t|%t|t:%s|z:%s|s:%s|sp{%s}|vv{%s}",
-		req.App, req.DeadlineHours, req.HistoryHours, req.Workers, req.Kappa,
+	return fmt.Sprintf("%s|%g|%g|%d|%d|%d|%g|%g|%t|%t|t:%s|z:%s|s:%s|sp{%s}|vv{%s}",
+		req.App, req.DeadlineHours, req.HistoryHours, req.Kappa,
 		req.GridLevels, req.MaxGroups, req.Slack, req.MaxAllFail,
 		req.DisableCheckpoints, req.DisablePruning,
 		strings.Join(req.Types, ","), strings.Join(req.Zones, ","),

@@ -424,8 +424,8 @@ func (s *Server) advanceWindow(ctx context.Context, t *trackedSession) (aborted 
 // (see opt.Config.InitialIncumbent).
 func (s *Server) reoptKey(t *trackedSession, cfg opt.Config, leftover, trainStart float64) string {
 	effStart := math.Max(trainStart, s.market.RetainedStartFor(t.keys))
-	return fmt.Sprintf("reopt|%s|%g|%d|%d|%d|%d|%g|%g|%t|%t|t:%s|z:%s|s:%s|sp{%s}|sc:%v|lo:%v|ts:%v|b:%v|es:%v|maf:%v",
-		t.profile.Name, t.history, cfg.Workers, cfg.Kappa, cfg.GridLevels, cfg.MaxGroups,
+	return fmt.Sprintf("reopt|%s|%g|%d|%d|%d|%g|%g|%t|%t|t:%s|z:%s|s:%s|sp{%s}|sc:%v|lo:%v|ts:%v|b:%v|es:%v|maf:%v",
+		t.profile.Name, t.history, cfg.Kappa, cfg.GridLevels, cfg.MaxGroups,
 		cfg.Slack, t.base.MaxAllFail, cfg.DisableCheckpoints, cfg.DisablePruning,
 		strings.Join(t.req.Types, ","), strings.Join(t.req.Zones, ","),
 		t.req.Strategy, canonicalParams(t.req.StrategyParams),

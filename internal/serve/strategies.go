@@ -28,12 +28,12 @@ func (s *Server) handleStrategies(w http.ResponseWriter, r *http.Request) {
 }
 
 // effectiveStrategyParams merges a plan request into one strategy
-// parameter map. For "sompi" the top-level optimizer knobs seed the map
-// — the request shapes that always worked keep working — and
-// strategy_params overlay them; every other strategy reads
-// strategy_params alone.
+// parameter map. For the sompi family — no strategy or "sompi" — the
+// top-level optimizer knobs seed the map and strategy_params overlay
+// them, so both spellings are range-checked by one schema; every other
+// strategy reads strategy_params alone.
 func effectiveStrategyParams(req PlanRequest) map[string]float64 {
-	if req.Strategy != "sompi" {
+	if req.Strategy != "" && req.Strategy != "sompi" {
 		return req.StrategyParams
 	}
 	p := make(map[string]float64, 8+len(req.StrategyParams))
@@ -68,25 +68,25 @@ func effectiveStrategyParams(req PlanRequest) map[string]float64 {
 }
 
 // planner resolves a request to what plans it, for /v1/plan and for
-// sessions alike. The sompi family — no strategy or "sompi" — comes back
-// as the opt.Config of the default optimizer loop with a nil strategy;
-// for "sompi" the config carries the effective knobs validated through
-// the registry, so named-sompi plans and sessions get the same warm
-// starts, committed-window MaxAllFail and single-flight dedup as
-// untagged ones. Every other name comes back as its registry strategy.
-// Market and Candidates are left to the caller.
+// sessions alike. The sompi family — no strategy or "sompi" — resolves
+// one way: the effective knobs are validated through the registry and
+// come back as the opt.Config of the default optimizer loop with a nil
+// strategy, so both spellings get the same 400s, warm starts,
+// committed-window MaxAllFail and single-flight dedup. Every other name
+// comes back as its registry strategy. Market and Candidates are left
+// to the caller.
 func planner(req PlanRequest, profile app.Profile) (opt.Config, strategy.Strategy, error) {
-	cfg := req.Config(profile, nil)
-	if req.Strategy == "" {
-		return cfg, nil, nil
+	name := req.Strategy
+	if name == "" {
+		name = "sompi"
 	}
-	st, err := strategy.New(req.Strategy, effectiveStrategyParams(req))
+	st, err := strategy.New(name, effectiveStrategyParams(req))
 	if err != nil {
 		return opt.Config{}, nil, err
 	}
 	so, ok := st.(*strategy.SOMPI)
 	if !ok {
-		return cfg, st, nil
+		return req.Config(profile, nil), st, nil
 	}
 	knobs := so.Config
 	knobs.Profile, knobs.Deadline = profile, req.DeadlineHours

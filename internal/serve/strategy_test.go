@@ -159,6 +159,62 @@ func TestPlanSompiStrategyMatchesDefault(t *testing.T) {
 	}
 }
 
+// TestPlanSompiSpellingsResolveAlike: a request with no strategy
+// resolves exactly as "sompi" does. A top-level knob outside the sompi
+// schema is the same 400 for both spellings, and strategy_params are
+// validated and applied, not ignored.
+func TestPlanSompiSpellingsResolveAlike(t *testing.T) {
+	ts := newTestServer(t, serve.Config{})
+	var bodies []string
+	for _, name := range []string{"", "sompi"} {
+		req := serve.PlanRequest{App: "BT", DeadlineHours: 60, Workers: 300, Strategy: name}
+		status, _, body := postJSON(t, ts.URL+"/v1/plan", req)
+		if status != http.StatusBadRequest || !strings.Contains(string(body), "300 outside [0, 256]") {
+			t.Fatalf("strategy %q, workers 300: %d %s, want the workers range 400", name, status, body)
+		}
+		bodies = append(bodies, string(body))
+
+		req = smallPlan(60)
+		req.Strategy = name
+		req.StrategyParams = map[string]float64{"kappa": 1, "bogus": 5}
+		if status, _, body := postJSON(t, ts.URL+"/v1/plan", req); status != http.StatusBadRequest || !strings.Contains(string(body), "bogus") {
+			t.Fatalf("strategy %q, unknown param: %d %s, want 400", name, status, body)
+		}
+	}
+	if bodies[0] != bodies[1] {
+		t.Fatalf("the two spellings refuse workers 300 differently:\n%s\n%s", bodies[0], bodies[1])
+	}
+
+	// kappa as a strategy param plans exactly as the top-level knob.
+	byParam := smallPlan(60)
+	byParam.StrategyParams = map[string]float64{"kappa": 1}
+	status, _, paramBody := postJSON(t, ts.URL+"/v1/plan", byParam)
+	if status != http.StatusOK {
+		t.Fatalf("kappa param: %d %s", status, paramBody)
+	}
+	byKnob := smallPlan(60)
+	byKnob.Kappa = 1
+	status, _, knobBody := postJSON(t, ts.URL+"/v1/plan", byKnob)
+	if status != http.StatusOK {
+		t.Fatalf("kappa knob: %d %s", status, knobBody)
+	}
+	// The second request finds the first's ranking evaluations in the
+	// server's reuse cache, so only Evals+SavedEvals is comparable.
+	var param, knob serve.PlanResponse
+	if err := json.Unmarshal(paramBody, &param); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(knobBody, &knob); err != nil {
+		t.Fatal(err)
+	}
+	a, _ := json.Marshal(param.Plan)
+	b, _ := json.Marshal(knob.Plan)
+	if !bytes.Equal(a, b) || param.Estimate != knob.Estimate || param.Pruned != knob.Pruned ||
+		param.Evals+param.SavedEvals != knob.Evals+knob.SavedEvals {
+		t.Fatalf("strategy_params kappa 1 without a strategy planned differently from top-level kappa 1:\n%s\n%s", paramBody, knobBody)
+	}
+}
+
 // TestStrategiesEndpoint checks GET /v1/strategies lists the registry
 // with parameter schemas and the scenario catalog.
 func TestStrategiesEndpoint(t *testing.T) {

@@ -24,7 +24,7 @@ var sompiSpecs = []ParamSpec{
 	{Name: "kappa", Type: "int", Default: 0, Min: 0, Max: 8, Doc: "circle groups per plan (0 = paper default 4)"},
 	{Name: "grid_levels", Type: "int", Default: 0, Min: 0, Max: 12, Doc: "logarithmic bid-grid levels (0 = default 6)"},
 	{Name: "max_groups", Type: "int", Default: 0, Min: 0, Max: 16, Doc: "candidate groups entering the subset search (0 = default 8)"},
-	{Name: "workers", Type: "int", Default: 0, Min: 0, Max: 256, Doc: "search workers (0 = GOMAXPROCS; plans identical at any count)"},
+	{Name: "workers", Type: "int", Default: 0, Min: 0, Max: 256, Doc: "accepted for compatibility; the search runs on one worker"},
 	{Name: "slack", Type: "float", Default: 0, Min: 0, Max: 0.9, Doc: "deadline fraction reserved for checkpoint/recovery overhead (0 = default 0.2)"},
 	{Name: "max_all_fail", Type: "float", Default: 0, Min: 0, Max: 1, Doc: "cap on P(all groups fail) (0 = unconstrained)"},
 	{Name: "disable_checkpoints", Type: "bool", Default: 0, Min: 0, Max: 1, Doc: "run groups bare (w/o-CK ablation)"},
@@ -45,7 +45,6 @@ func init() {
 				Kappa:              int(p["kappa"]),
 				GridLevels:         int(p["grid_levels"]),
 				MaxGroups:          int(p["max_groups"]),
-				Workers:            int(p["workers"]),
 				Slack:              p["slack"],
 				MaxAllFail:         p["max_all_fail"],
 				DisableCheckpoints: p["disable_checkpoints"] != 0,

@@ -204,10 +204,9 @@ func TestAdaptiveCkptRetunesCadence(t *testing.T) {
 }
 
 // TestAdaptiveCkptSearchesOnOneWorker holds the adaptive-ckpt search at
-// one worker whatever GOMAXPROCS is: it has no workers param, so a
-// GOMAXPROCS-sized search would leave its served evals/pruned counters
-// to the host. The optimizer opens one opt.search.worker span per
-// worker, so the span count is the worker count.
+// one worker whatever GOMAXPROCS is, so its served evals/pruned counters
+// never depend on the host. The optimizer opens one opt.search.worker
+// span per search pass.
 func TestAdaptiveCkptSearchesOnOneWorker(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	view := testView(t)
