@@ -84,8 +84,9 @@ cluster-smoke:
 # to the eager stack's (cost, within) bits; the one-pass /v1/prices
 # scanner applies exactly the ticks, and fails with exactly the error
 # text, of encoding/json on any body read whole, a byte at a time or in
-# halves.
-# (go test -fuzz takes one target per invocation; eleven targets.)
+# halves; a bid grid's lower hull of (spot cost, E[Ratio]) holds its
+# cheapest point and bounds every point's leaf-bound term from below.
+# (go test -fuzz takes one target per invocation; twelve targets.)
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test ./internal/store -run '^$$' -fuzz 'FuzzDecodeRecord' -fuzztime $(FUZZTIME)
@@ -98,6 +99,7 @@ fuzz:
 	$(GO) test ./internal/serve -run '^$$' -fuzz 'FuzzDurableEncode' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/model -run '^$$' -fuzz 'FuzzPrepare' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/model -run '^$$' -fuzz 'FuzzPrefixStack' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/opt -run '^$$' -fuzz 'FuzzLowerHull' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/serve -run '^$$' -fuzz 'FuzzScanTicks' -fuzztime $(FUZZTIME)
 
 # Same gates as running serve-smoke, tournament-smoke, tournament-golden,

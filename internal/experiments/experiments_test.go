@@ -223,10 +223,10 @@ func TestKappaEvalsGrow(t *testing.T) {
 // when the pin was added: κ, normalized expected cost and evaluations;
 // wall-ms is a clock and stays unpinned. It records the ⚠ of
 // EXPERIMENTS.md: the cost is flat from κ = 1, not falling to κ = 4 as in
-// the paper, while the evaluations grow ~700×. Workers is 1 because with
-// more, Evals depends on how the units are scheduled against the shared
-// incumbent; at one worker it is a pure function of the Config, so a
-// search change that moves which leaves are evaluated moves a row.
+// the paper, while the evaluations grow ~700×. Workers is 1 as it was
+// when the rows were pinned; the search runs on one worker whatever it
+// says, so Evals is a pure function of the Config, and a search change
+// that moves which leaves are evaluated moves a row.
 func TestKappaStudyPinned(t *testing.T) {
 	p := tiny()
 	p.Workers = 1

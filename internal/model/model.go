@@ -297,6 +297,10 @@ type PreparedGroup struct {
 // pruning keys on.
 func (pg *PreparedGroup) CostSpot() float64 { return pg.costSpot }
 
+// ERatio reports E[Ratio], the factor this group adds to the prefix
+// stack's running product and to LeafBound.
+func (pg *PreparedGroup) ERatio() float64 { return pg.eRatio }
+
 // Prepare evaluates the per-group distributions for one bid/interval
 // choice in one O(T) walk over t. Under GroupPlan.Interval's bound,
 // SpotTime never falls and Ratio never rises in t, so each support comes

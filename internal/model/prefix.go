@@ -113,6 +113,10 @@ func (s *PrefixStack) Push(pg *PreparedGroup) {
 	}
 }
 
+// EProd reports Π E[Ratio_i] over the pushed groups (1 when none is),
+// the factor LeafBound multiplies a last group's E[Ratio] by.
+func (s *PrefixStack) EProd() float64 { return s.steps[len(s.steps)-1].eProd }
+
 // Pop removes the most recently pushed group.
 func (s *PrefixStack) Pop() { s.steps = s.steps[:len(s.steps)-1] }
 

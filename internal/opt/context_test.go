@@ -4,10 +4,10 @@ import (
 	"context"
 	"errors"
 	"testing"
-	"time"
 
 	"sompi/internal/app"
 	"sompi/internal/cloud"
+	"sompi/internal/model"
 )
 
 // fullSearchConfig is a deliberately large search (exhaustive, all
@@ -56,19 +56,26 @@ func TestOptimizeContextCancellationStopsSearchEarly(t *testing.T) {
 		t.Fatalf("full search only evaluated %d plans; too small to observe cancellation", full.Evals)
 	}
 
+	// Cancel from inside the search, at a fixed leaf: pruning is off, so
+	// every leaf reaches the audit and no loop is cut by its hull.
+	const fuse = 1000
 	ctx, cancel := context.WithCancel(context.Background())
-	go func() {
-		time.Sleep(5 * time.Millisecond)
-		cancel()
-	}()
+	defer cancel()
+	leaves := 0
+	leafAudit = func(*searcher, *model.PreparedGroup, float64, float64, bool) {
+		if leaves++; leaves == fuse {
+			cancel()
+		}
+	}
+	defer func() { leafAudit = nil }()
 	partial, err := OptimizeContext(ctx, fullSearchConfig(m))
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled search returned %v, want context.Canceled", err)
 	}
 	// The Evals counter is the proof of early abort: the cancelled search
-	// must have evaluated strictly fewer plans than the full one. The 5ms
-	// fuse is orders of magnitude shorter than the full search even under
-	// the race detector, so equality would mean cancellation was ignored.
+	// must have evaluated strictly fewer plans than the full one. The fuse
+	// burns at the thousandth of ~2·10^6 leaves, so equality would mean
+	// cancellation was ignored.
 	if partial.Evals >= full.Evals {
 		t.Fatalf("cancelled search ran to completion: %d evals (full search: %d)", partial.Evals, full.Evals)
 	}

@@ -46,16 +46,26 @@ func planMissDeadlines(r *stats.RNG, strata int) []float64 {
 // (cost, deadline, MaxAllFail) would have turned away too. A leaf cut at
 // the incumbent, by its O(1) bound or partway through its walk, must cost
 // strictly more than the limit it was cut against, its bound or partial
-// cost at most that, and it must not be the plan the search returns.
+// cost at most that, and it must not be the plan the search returns. The
+// audit walks the loops searcher.cutLoop settles by their hull as well: a
+// leaf there must be one its own bound cuts, and with pruning off no loop
+// is cut.
 func TestLeafCostNeverRejectsAnAcceptableLeaf(t *testing.T) {
 	train := planMissMarket()
-	leaves, passed, cut, bounded := 0, 0, 0, 0
+	leaves, passed, cut, bounded, hullCut := 0, 0, 0, 0, 0
 	var ev model.Evaluator
 	var winner []model.GroupPlan
 	leafAudit = func(s *searcher, last *model.PreparedGroup, cost, limit float64, within bool) {
 		leaves++
 		pgs := append(s.pgs, last)
 		est := ev.EvaluatePrepared(pgs, s.od)
+		if s.hullCut {
+			hullCut++
+			if bound := s.stack.LeafBound(last, s.odT, s.odRate); within || !(bound > limit) || samePlan(pgs, winner) {
+				t.Fatalf("subset %v: a leaf of a hull-cut loop has bound %v against limit %v (within %v, winner %v)",
+					s.subset, bound, limit, within, samePlan(pgs, winner))
+			}
+		}
 		if !within {
 			cut++
 			if s.stack.LeafBound(last, s.odT, s.odRate) > limit {
@@ -108,7 +118,7 @@ func TestLeafCostNeverRejectsAnAcceptableLeaf(t *testing.T) {
 				t.Fatalf("%s %s: %v", tc.name, p.Name, err)
 			}
 			winner = want.Plan.Groups
-			before, cutBefore := leaves, cut
+			before, cutBefore, hullCutBefore := leaves, cut, hullCut
 			res, err := OptimizeContext(context.Background(), cfg)
 			if err != nil {
 				t.Fatalf("%s %s: %v", tc.name, p.Name, err)
@@ -119,6 +129,9 @@ func TestLeafCostNeverRejectsAnAcceptableLeaf(t *testing.T) {
 			if cfg.DisablePruning && cut != cutBefore {
 				t.Errorf("%s %s: %d leaves cut with pruning off", tc.name, p.Name, cut-cutBefore)
 			}
+			if cfg.DisablePruning && hullCut != hullCutBefore {
+				t.Errorf("%s %s: %d leaves in hull-cut loops with pruning off", tc.name, p.Name, hullCut-hullCutBefore)
+			}
 			// Evals = the baseline + the ranking evaluations + one per leaf,
 			// cut or walked in full.
 			if ranked := res.Evals - (leaves - before); ranked < 1 || ranked > 1+12*cfg.withDefaults().GridLevels {
@@ -128,6 +141,10 @@ func TestLeafCostNeverRejectsAnAcceptableLeaf(t *testing.T) {
 	}
 	t.Logf("%d leaves audited: %d cut by bound, %d cut in walk, %d passed the cost test and paid for a full estimate",
 		leaves, bounded, cut-bounded, passed)
+	t.Logf("%d of the leaves cut by bound were in loops cut by their hull", hullCut)
+	if hullCut == 0 {
+		t.Error("no loop was cut by its hull")
+	}
 }
 
 // samePlan reports whether pgs prices the same groups, bids and intervals,

@@ -253,7 +253,8 @@ type Result struct {
 	Plan model.Plan
 	Est  model.Estimate
 	// Evals counts cost-model evaluations performed — the optimization-
-	// overhead metric of the κ parameter study: one per leaf visited,
+	// overhead metric of the κ parameter study: one per leaf the
+	// spot-cost bounds admit, priced alone or counted with its cut loop,
 	// whether its walk stopped at the incumbent, its cost alone rejected
 	// it or it went on to a full estimate with its time side. Pruned
 	// counts the evaluations branch-and-bound skipped because a partial
@@ -576,6 +577,7 @@ func OptimizeContext(ctx context.Context, cfg Config) (Result, error) {
 		subset:    make([]int, 0, kappa),
 		pgs:       make([]*model.PreparedGroup, 0, kappa),
 		stack:     model.NewPrefixStack(prepared, kappa-1),
+		hulls:     buildHulls(prepared),
 		partial:   make([]float64, kappa+1),
 		suffixMin: make([]float64, kappa+1),
 		leaves:    make([]int, kappa+1),
@@ -702,6 +704,11 @@ type searcher struct {
 	// stack mirrors pgs: the placed groups' survival product, which the
 	// leaves below them price themselves against.
 	stack *model.PrefixStack
+	// hulls[i] is group i's lower hull of (spot cost, E[Ratio]) over its
+	// bid grid: what cutLoop bounds a whole last-level bid loop with.
+	hulls [][]hullPoint
+	// hullCut is set while the leaf audit walks a loop cutLoop cut.
+	hullCut bool
 	// partial[d] is the spot-cost sum of the groups placed at depths
 	// < d; suffixMin[d] is the cheapest possible spot cost of the groups
 	// at depths >= d; leaves[d] is the number of bid combinations below
@@ -777,8 +784,13 @@ func (s *searcher) searchSubset() {
 
 // searchBids tries each grid bid of the subset's depth-th group: above the
 // last depth it goes onto pgs and the prefix stack, at it each is a leaf.
+// At the last depth's parent, cutLoop may settle a choice's whole loop.
 func (s *searcher) searchBids(depth int) {
 	last := depth == len(s.subset)-1
+	var hull []hullPoint
+	if depth == len(s.subset)-2 && !s.cfg.DisablePruning {
+		hull = s.hulls[s.subset[depth+1]]
+	}
 	for _, pg := range s.prepared[s.subset[depth]] {
 		if s.stop.Load() {
 			return
@@ -800,13 +812,56 @@ func (s *searcher) searchBids(depth int) {
 			s.leaf(pg)
 			continue
 		}
-		s.partial[depth+1] = s.partial[depth] + pg.CostSpot()
-		s.pgs = append(s.pgs, pg)
-		s.stack.Push(pg)
-		s.searchBids(depth + 1)
-		s.stack.Pop()
-		s.pgs = s.pgs[:len(s.pgs)-1]
+		if hull != nil && s.cutLoop(depth, pg, hull) {
+			continue
+		}
+		s.descend(depth, pg)
 	}
+}
+
+// descend places pg at depth and searches the depths below it.
+func (s *searcher) descend(depth int, pg *model.PreparedGroup) {
+	s.partial[depth+1] = s.partial[depth] + pg.CostSpot()
+	s.pgs = append(s.pgs, pg)
+	s.stack.Push(pg)
+	s.searchBids(depth + 1)
+	s.stack.Pop()
+	s.pgs = s.pgs[:len(s.pgs)-1]
+}
+
+// cutLoop reports whether every leaf of the last group's bid loop under
+// pg, placed at depth, is one its own LeafBound cuts at the incumbent,
+// and if so counts the loop as it would have counted itself. With y the
+// loop's E[Ratio] factor, each leaf's bound is its spot cost plus
+// cs_j + y·e_j, deflated; the hull's minimum of cs_j + y·e_j bounds them
+// all, and loopDeflate covers both the leaf's deflation and the
+// different association. No leaf of a cut loop could have been accepted,
+// so the incumbent, the unit's best and the plan do not move, and each
+// leaf still adds one to Pruned or to Evals by the per-leaf spot-cost
+// test the loop runs.
+func (s *searcher) cutLoop(depth int, pg *model.PreparedGroup, hull []hullPoint) bool {
+	y := s.stack.EProd() * pg.ERatio() * s.odT * s.odRate
+	part := s.partial[depth] + pg.CostSpot()
+	if !((part+hullMin(hull, y))*loopDeflate > s.incumbent) {
+		return false
+	}
+	evals, pruned := s.evals, s.pruned
+	for _, q := range s.prepared[s.subset[depth+1]] {
+		if part+q.CostSpot() > s.incumbent {
+			pruned++
+		} else {
+			evals++
+		}
+	}
+	if leafAudit != nil {
+		// The audit sees each leaf with the state the loop would have
+		// shown it; the counts stay the bulk ones.
+		s.hullCut = true
+		s.descend(depth, pg)
+		s.hullCut = false
+	}
+	s.evals, s.pruned = evals, pruned
+	return true
 }
 
 // leaf scores the plan made of the placed groups plus last. Acceptance
@@ -856,8 +911,9 @@ func (s *searcher) leaf(last *model.PreparedGroup) {
 
 // leafAudit is a test-only observer of every leaf: the limit it was
 // priced against, and the cost and within the prefix stack returned for
-// it — for a leaf cut by its bound, the bound and false. Nothing outside
-// the package's tests sets it.
+// it — for a leaf cut by its bound, the bound and false. It sees the
+// leaves of a loop cutLoop cut too, with searcher.hullCut set. Nothing
+// outside the package's tests sets it.
 var leafAudit func(s *searcher, last *model.PreparedGroup, cost, limit float64, within bool)
 
 // localBound is the acceptance threshold for the current unit: the

@@ -235,6 +235,26 @@ func TestPlanCacheIgnoresWorkers(t *testing.T) {
 	}
 }
 
+// TestPlanCacheIgnoresWorkersParam is the same for the strategy_params
+// spelling: a request adding {"workers": 2} there is a hit on the entry a
+// request without params made, with the same bytes.
+func TestPlanCacheIgnoresWorkersParam(t *testing.T) {
+	ts := newTestServer(t, serve.Config{})
+	req := smallPlan(60)
+	status, hdr, first := postJSON(t, ts.URL+"/v1/plan", req)
+	if status != http.StatusOK || hdr.Get("X-Sompid-Cache") != "miss" {
+		t.Fatalf("no params: %d, cache %q, want 200 miss", status, hdr.Get("X-Sompid-Cache"))
+	}
+	req.StrategyParams = map[string]float64{"workers": 2}
+	status, hdr, second := postJSON(t, ts.URL+"/v1/plan", req)
+	if status != http.StatusOK || hdr.Get("X-Sompid-Cache") != "hit" {
+		t.Fatalf("strategy_params workers 2 after no params: %d, cache %q, want 200 hit", status, hdr.Get("X-Sompid-Cache"))
+	}
+	if !bytes.Equal(first, second) {
+		t.Fatalf("no params and strategy_params workers 2 served different bytes:\n%s\n%s", first, second)
+	}
+}
+
 func TestPlanValidationErrors(t *testing.T) {
 	ts := newTestServer(t, serve.Config{})
 	cases := []struct {

@@ -467,14 +467,18 @@ func planKey(req PlanRequest, vv cloud.VersionVector, keys []cloud.MarketKey) st
 }
 
 // canonicalParams renders a parameter map in sorted-key order so equal
-// maps always produce equal cache keys.
+// maps always produce equal cache keys. It leaves out workers, which is
+// as inert here as at the top level, so it splits no cache entry and no
+// single-flight.
 func canonicalParams(params map[string]float64) string {
 	if len(params) == 0 {
 		return ""
 	}
 	names := make([]string, 0, len(params))
 	for k := range params {
-		names = append(names, k)
+		if k != "workers" {
+			names = append(names, k)
+		}
 	}
 	sort.Strings(names)
 	var b strings.Builder
