@@ -22,8 +22,9 @@ vet:
 test:
 	$(GO) test ./...
 
-# The parallel search and the Group caches are exercised under the race
-# detector; this is the concurrency-soundness gate.
+# The Group caches, the reuse cache, the serve path and the Monte Carlo
+# replay pool are exercised under the race detector; this is the
+# concurrency-soundness gate.
 race:
 	$(GO) test -race ./...
 
@@ -84,9 +85,12 @@ cluster-smoke:
 # to the eager stack's (cost, within) bits; the one-pass /v1/prices
 # scanner applies exactly the ticks, and fails with exactly the error
 # text, of encoding/json on any body read whole, a byte at a time or in
-# halves; a bid grid's lower hull of (spot cost, E[Ratio]) holds its
-# cheapest point and bounds every point's leaf-bound term from below.
-# (go test -fuzz takes one target per invocation; twelve targets.)
+# halves; the lower hull of 1–3 groups' bid combinations of (spot cost,
+# E[Ratio]) holds the cheapest combination and bounds every
+# combination's leaf-bound term from below; and the pruned search
+# returns the exhaustive search's plan, with each leaf counted once, on
+# tiny adversarial markets with tied spot costs.
+# (go test -fuzz takes one target per invocation; thirteen targets.)
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test ./internal/store -run '^$$' -fuzz 'FuzzDecodeRecord' -fuzztime $(FUZZTIME)
@@ -100,6 +104,7 @@ fuzz:
 	$(GO) test ./internal/model -run '^$$' -fuzz 'FuzzPrepare' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/model -run '^$$' -fuzz 'FuzzPrefixStack' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/opt -run '^$$' -fuzz 'FuzzLowerHull' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/opt -run '^$$' -fuzz 'FuzzOptimizeMatchesExhaustive' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/serve -run '^$$' -fuzz 'FuzzScanTicks' -fuzztime $(FUZZTIME)
 
 # Same gates as running serve-smoke, tournament-smoke, tournament-golden,

@@ -15,10 +15,14 @@ import (
 // stack, in counts rather than time: over the BenchmarkPlanMiss pass (8
 // presets × 6 stratified deadlines on sompid's -hours 336 -seed 2015
 // market, trailing 96 h, Workers: 1, a ReuseCache warmed at 100 h) the
-// levels must merge at most 1 % of the support points the eager stack
-// merges for the same pushes, and the search's counters must not move.
-// Most leaves never walk: their O(1) LeafBound is already above the
-// incumbent, so nothing below them is merged.
+// levels must merge exactly the 13,406 support points they merged when
+// the search still pushed every choice that passed its spot-cost bound,
+// and the search's counters must not move. Most leaves never walk: their
+// O(1) LeafBound is already above the incumbent, so nothing below them
+// is merged. The eager stack's count for the same pushes is logged, not
+// gated: it counts pushes, and whole subtrees the search cuts before
+// pushing anything left it with 20,222 of the 3,234,484 it once had, so
+// a share of it measures the cuts above the walk, not the stack.
 func TestPlanMissMergesOnDemand(t *testing.T) {
 	snap := cloud.GenerateMarket(cloud.DefaultCatalog(), cloud.DefaultZones(), 336, 2015).Capture()
 	view := snap.Window(snap.MinDuration()-96, 96)
@@ -73,10 +77,9 @@ func TestPlanMissMergesOnDemand(t *testing.T) {
 			continue
 		}
 		lazy, eager := stop()
-		share := float64(lazy) / float64(eager)
-		t.Logf("pass %d: merged %d of the eager stack's %d support points (%.2f %%)", n+1, lazy, eager, 100*share)
-		if share > 0.01 {
-			t.Errorf("levels merged %.2f %% of the eager stack's support points, want at most 1 %%", 100*share)
+		t.Logf("pass %d: merged %d support points; the eager stack merges %d for the same pushes", n+1, lazy, eager)
+		if lazy != 13406 {
+			t.Errorf("levels merged %d support points, pinned 13406", lazy)
 		}
 	}
 }

@@ -32,8 +32,8 @@ type Explain struct {
 	// Selected names the markets of the winning plan's circle groups
 	// (empty means pure on-demand won).
 	Selected []string `json:"selected"`
-	// WorkUnits is how many balanced prefix units the subset space was
-	// split into for the dispatch order.
+	// WorkUnits is how many units the subset space was split into for
+	// the dispatch order: one per first group.
 	WorkUnits int `json:"work_units,omitempty"`
 	// Evals and Pruned mirror Result's search-effort counters;
 	// SavedEvals mirrors Result.SavedEvals (reuse-memo hits).

@@ -47,9 +47,9 @@ func planMissDeadlines(r *stats.RNG, strata int) []float64 {
 // the incumbent, by its O(1) bound or partway through its walk, must cost
 // strictly more than the limit it was cut against, its bound or partial
 // cost at most that, and it must not be the plan the search returns. The
-// audit walks the loops searcher.cutLoop settles by their hull as well: a
-// leaf there must be one its own bound cuts, and with pruning off no loop
-// is cut.
+// audit walks the subtrees searcher.cutSubtree settles by their suffix
+// hull as well: a leaf there must be one its own bound cuts, and with
+// pruning off no subtree is cut.
 func TestLeafCostNeverRejectsAnAcceptableLeaf(t *testing.T) {
 	train := planMissMarket()
 	leaves, passed, cut, bounded, hullCut := 0, 0, 0, 0, 0

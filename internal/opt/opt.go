@@ -254,7 +254,7 @@ type Result struct {
 	Est  model.Estimate
 	// Evals counts cost-model evaluations performed — the optimization-
 	// overhead metric of the κ parameter study: one per leaf the
-	// spot-cost bounds admit, priced alone or counted with its cut loop,
+	// spot-cost bounds admit, priced alone or counted with its cut subtree,
 	// whether its walk stopped at the incumbent, its cost alone rejected
 	// it or it went on to a full estimate with its time side. Pruned
 	// counts the evaluations branch-and-bound skipped because a partial
@@ -517,24 +517,20 @@ func OptimizeContext(ctx context.Context, cfg Config) (Result, error) {
 
 	// Traverse every subset of up to κ circle groups (Section 4.4's
 	// "traverse all of possible cases each with a specific combination"),
-	// and within each subset every combination of grid bids. buildUnits
-	// splits the subset space into prefix work units and dispatchOrder
-	// visits cheap-spot-floor units first, so the incumbent tightens
-	// while most of the space is still ahead. One searcher drains the
-	// units in that order on the caller's goroutine: the incumbent
-	// trajectory — and with it Evals and Pruned — is a pure function of
-	// the Config. Each unit keeps its own best; the merge walks units in
-	// canonical (recursive traversal) order with a strict < comparison,
-	// which fixes the first-strictly-better-wins tie-break (see
-	// searcher.searchBids for why pruning cannot disturb the winner).
-	gridLen := make([]int, len(groups))
-	for i := range prepared {
-		gridLen[i] = len(prepared[i])
-	}
-	units := buildUnits(gridLen, minSpot, kappa)
-	order := dispatchOrder(units)
+	// and within each subset every combination of grid bids. The work
+	// units are the first groups: unit i is every subset whose lowest
+	// group is i. One searcher drains them on the caller's goroutine in
+	// ascending spot-cost floor of that group (dispatchOrder), so the
+	// incumbent tightens while most of the space is still ahead, and the
+	// incumbent trajectory — with it Evals and Pruned — is a pure function
+	// of the Config. Each unit keeps its own best; the running best takes
+	// a unit's plan when it is strictly cheaper, or equal and from a lower
+	// first group, which is the recursive traversal's first-strictly-
+	// better-wins tie-break (see searcher.searchBids for why pruning
+	// cannot disturb the winner).
+	order := dispatchOrder(minSpot)
 	if ex != nil {
-		ex.WorkUnits = len(units)
+		ex.WorkUnits = len(order)
 	}
 
 	// Cancellation: a watcher goroutine flips stop when ctx is done, and
@@ -557,13 +553,12 @@ func OptimizeContext(ctx context.Context, cfg Config) (Result, error) {
 	}
 
 	// runSearch traverses every unit with the pruning incumbent seeded at
-	// seed and merges in canonical order, under one opt.search.worker
-	// span. It is invoked once warm, and a second time cold if the warm
-	// seed proves inadmissible. Only the incumbent is seeded; the
-	// acceptance threshold (searcher.localBound) always starts from the
-	// on-demand baseline, so an admissible seed — including one exactly
-	// equal to the optimum — changes which leaves are pruned but never
-	// which of the surviving leaves is accepted.
+	// seed, under one opt.search.worker span. It is invoked once warm, and
+	// a second time cold if the warm seed proves inadmissible. Only the
+	// incumbent is seeded; the acceptance threshold (searcher.localBound)
+	// always starts from the on-demand baseline, so an admissible seed —
+	// including one exactly equal to the optimum — changes which leaves
+	// are pruned but never which of the surviving leaves is accepted.
 	s := &searcher{
 		cfg:       cfg,
 		od:        od,
@@ -577,34 +572,34 @@ func OptimizeContext(ctx context.Context, cfg Config) (Result, error) {
 		subset:    make([]int, 0, kappa),
 		pgs:       make([]*model.PreparedGroup, 0, kappa),
 		stack:     model.NewPrefixStack(prepared, kappa-1),
-		hulls:     buildHulls(prepared),
 		partial:   make([]float64, kappa+1),
 		suffixMin: make([]float64, kappa+1),
 		leaves:    make([]int, kappa+1),
 	}
-	results := make([]unitResult, len(units))
-	runSearch := func(seed float64) (bestUnit Result, found bool, evals, pruned int) {
+	if !cfg.DisablePruning {
+		s.hulls = newSuffixHulls(sortedGrids(prepared))
+		s.node = make([]int32, kappa+1)
+	}
+	runSearch := func(seed float64) (bestRun Result, found bool, evals, pruned int) {
 		_, wsp := obs.StartSpan(ctx, "opt.search.worker")
 		s.incumbent = seed
-		for _, ui := range order {
-			results[ui] = s.searchUnit(&units[ui])
-		}
-		for i := range results {
-			r := &results[i]
-			evals += r.evals
-			pruned += r.pruned
-			if r.found && (!found || r.best.Est.Cost < bestUnit.Est.Cost) {
-				bestUnit = r.best
-				found = true
+		s.evals, s.pruned = 0, 0
+		bestFirst := 0
+		for _, first := range order {
+			if !s.searchUnit(first) {
+				continue
+			}
+			if c := s.best.Est.Cost; !found || c < bestRun.Est.Cost || c == bestRun.Est.Cost && first < bestFirst {
+				bestRun, found, bestFirst = s.best, true, first
 			}
 		}
 		if wsp != nil {
-			wsp.AttrInt("units", int64(len(units)))
-			wsp.AttrInt("evals", int64(evals))
-			wsp.AttrInt("pruned", int64(pruned))
+			wsp.AttrInt("units", int64(len(order)))
+			wsp.AttrInt("evals", int64(s.evals))
+			wsp.AttrInt("pruned", int64(s.pruned))
 			wsp.End()
 		}
-		return bestUnit, found, evals, pruned
+		return bestRun, found, s.evals, s.pruned
 	}
 
 	// Warm start: seed the incumbent with the caller's known-achievable
@@ -675,14 +670,6 @@ func selectRelaxed(cfg Config) (model.OnDemand, error) {
 	return od, err
 }
 
-// unitResult is one work unit's contribution to the final merge.
-type unitResult struct {
-	best   Result
-	found  bool
-	evals  int
-	pruned int
-}
-
 // searcher is the search state: scratch buffers, an allocation-free
 // evaluator and the incumbent — the cheapest plan cost found so far,
 // which only tightens — reused across every work unit.
@@ -704,10 +691,13 @@ type searcher struct {
 	// stack mirrors pgs: the placed groups' survival product, which the
 	// leaves below them price themselves against.
 	stack *model.PrefixStack
-	// hulls[i] is group i's lower hull of (spot cost, E[Ratio]) over its
-	// bid grid: what cutLoop bounds a whole last-level bid loop with.
-	hulls [][]hullPoint
-	// hullCut is set while the leaf audit walks a loop cutLoop cut.
+	// hulls holds every group's grid sorted by spot cost and the lower
+	// hulls cutSubtree bounds whole subtrees with; node[d] is the hulls
+	// node of the subset's groups at depths >= d. Both are nil with
+	// pruning off.
+	hulls *suffixHulls
+	node  []int32
+	// hullCut is set while the leaf audit walks a subtree cutSubtree cut.
 	hullCut bool
 	// partial[d] is the spot-cost sum of the groups placed at depths
 	// < d; suffixMin[d] is the cheapest possible spot cost of the groups
@@ -724,22 +714,14 @@ type searcher struct {
 	pruned int
 }
 
-// searchUnit traverses one work unit — the subsets starting with
-// u.prefix (just the prefix's own bid grid when !u.expand) — in the
-// exact order the serial recursion visits them.
-func (s *searcher) searchUnit(u *workUnit) unitResult {
+// searchUnit traverses one work unit — every subset whose lowest group
+// is first — in the exact order the serial recursion visits them, and
+// reports whether the unit found a plan (s.best).
+func (s *searcher) searchUnit(first int) bool {
 	s.best, s.found = Result{}, false
-	s.evals, s.pruned = 0, 0
-	if s.stop.Load() {
-		return unitResult{}
-	}
-	s.subset = append(s.subset[:0], u.prefix...)
-	if u.expand {
-		s.extend(u.prefix[len(u.prefix)-1] + 1)
-	} else {
-		s.searchSubset()
-	}
-	return unitResult{best: s.best, found: s.found, evals: s.evals, pruned: s.pruned}
+	s.subset = append(s.subset[:0], first)
+	s.extend(first + 1)
+	return s.found
 }
 
 // extend evaluates the current subset's bid grid, then grows the subset
@@ -777,6 +759,12 @@ func (s *searcher) searchSubset() {
 		s.pruned += s.leaves[0]
 		return
 	}
+	if s.hulls != nil {
+		s.node[n] = 0
+		for d := n - 1; d >= 1; d-- {
+			s.node[d] = s.hulls.child(s.node[d+1], s.subset[d])
+		}
+	}
 	s.partial[0] = 0
 	s.pgs = s.pgs[:0]
 	s.searchBids(0)
@@ -784,13 +772,10 @@ func (s *searcher) searchSubset() {
 
 // searchBids tries each grid bid of the subset's depth-th group: above the
 // last depth it goes onto pgs and the prefix stack, at it each is a leaf.
-// At the last depth's parent, cutLoop may settle a choice's whole loop.
+// Above the last depth, cutSubtree may settle a choice's whole subtree.
 func (s *searcher) searchBids(depth int) {
 	last := depth == len(s.subset)-1
 	var hull []hullPoint
-	if depth == len(s.subset)-2 && !s.cfg.DisablePruning {
-		hull = s.hulls[s.subset[depth+1]]
-	}
 	for _, pg := range s.prepared[s.subset[depth]] {
 		if s.stop.Load() {
 			return
@@ -812,8 +797,13 @@ func (s *searcher) searchBids(depth int) {
 			s.leaf(pg)
 			continue
 		}
-		if hull != nil && s.cutLoop(depth, pg, hull) {
-			continue
+		if s.hulls != nil {
+			if hull == nil {
+				hull = s.hulls.hull(s.node[depth+1])
+			}
+			if s.cutSubtree(depth, pg, hull) {
+				continue
+			}
 		}
 		s.descend(depth, pg)
 	}
@@ -829,39 +819,80 @@ func (s *searcher) descend(depth int, pg *model.PreparedGroup) {
 	s.pgs = s.pgs[:len(s.pgs)-1]
 }
 
-// cutLoop reports whether every leaf of the last group's bid loop under
-// pg, placed at depth, is one its own LeafBound cuts at the incumbent,
-// and if so counts the loop as it would have counted itself. With y the
-// loop's E[Ratio] factor, each leaf's bound is its spot cost plus
-// cs_j + y·e_j, deflated; the hull's minimum of cs_j + y·e_j bounds them
-// all, and loopDeflate covers both the leaf's deflation and the
-// different association. No leaf of a cut loop could have been accepted,
-// so the incumbent, the unit's best and the plan do not move, and each
-// leaf still adds one to Pruned or to Evals by the per-leaf spot-cost
-// test the loop runs.
-func (s *searcher) cutLoop(depth int, pg *model.PreparedGroup, hull []hullPoint) bool {
+// cutSubtree reports whether every leaf below pg, placed at depth, is one
+// its own LeafBound cuts at the incumbent, and if so counts the subtree
+// as its walk would have counted it. With y the subtree's E[Ratio]
+// factor, each leaf's bound is its placed spot cost plus Σ cs + y·Π e
+// over the groups below, deflated; the minimum of that over the suffix
+// hull bounds them all, and loopDeflate covers both the leaf's deflation
+// and the different association. No leaf of a cut subtree could have
+// been accepted, so the incumbent, the unit's best and the plan do not
+// move, and count adds to Pruned and Evals what the walk's spot-cost
+// tests would have added.
+func (s *searcher) cutSubtree(depth int, pg *model.PreparedGroup, hull []hullPoint) bool {
 	y := s.stack.EProd() * pg.ERatio() * s.odT * s.odRate
 	part := s.partial[depth] + pg.CostSpot()
 	if !((part+hullMin(hull, y))*loopDeflate > s.incumbent) {
 		return false
 	}
-	evals, pruned := s.evals, s.pruned
-	for _, q := range s.prepared[s.subset[depth+1]] {
-		if part+q.CostSpot() > s.incumbent {
-			pruned++
-		} else {
-			evals++
-		}
-	}
+	s.count(depth+1, part)
 	if leafAudit != nil {
-		// The audit sees each leaf with the state the loop would have
-		// shown it; the counts stay the bulk ones.
+		// The audit sees each leaf with the state the walk would have
+		// shown it; the counts stay the bulk ones. A nested cut inside
+		// the walk leaves hullCut as it found it.
+		evals, pruned, cut := s.evals, s.pruned, s.hullCut
 		s.hullCut = true
 		s.descend(depth, pg)
-		s.hullCut = false
+		s.evals, s.pruned, s.hullCut = evals, pruned, cut
 	}
-	s.evals, s.pruned = evals, pruned
 	return true
+}
+
+// count adds to Evals and Pruned what the walk of depths k and below,
+// under placed spot cost p, adds with the incumbent held where it is:
+// at an interior depth a choice whose p + cs + suffixMin is above the
+// incumbent prunes its leaves, at the last depth a leaf whose p + cs is
+// above it is pruned and any other is evaluated. The grids are sorted by
+// spot cost and IEEE addition is monotone, so the passing choices of a
+// level are a prefix: the first failure settles the rest of the level,
+// and at the last two levels the passing leaves under each choice only
+// shrink as the choice's cost grows.
+func (s *searcher) count(k int, p float64) {
+	last := len(s.subset) - 1
+	grid := s.hulls.grids[s.subset[k]]
+	if k == last {
+		s.countLeaves(grid, p, len(grid))
+		return
+	}
+	var leaves []hullPoint
+	if k == last-1 {
+		leaves = s.hulls.grids[s.subset[last]]
+	}
+	j := len(leaves)
+	for i, c := range grid {
+		q := p + c.cs
+		if q+s.suffixMin[k+1] > s.incumbent {
+			s.pruned += (len(grid) - i) * s.leaves[k+1]
+			return
+		}
+		if leaves == nil {
+			s.count(k+1, q)
+			continue
+		}
+		j = s.countLeaves(leaves, q, j)
+	}
+}
+
+// countLeaves counts the last level's leaves, sorted by spot cost, under
+// placed spot cost p, knowing that at most the first j can pass, and
+// returns how many did.
+func (s *searcher) countLeaves(leaves []hullPoint, p float64, j int) int {
+	for j > 0 && p+leaves[j-1].cs > s.incumbent {
+		j--
+	}
+	s.evals += j
+	s.pruned += len(leaves) - j
+	return j
 }
 
 // leaf scores the plan made of the placed groups plus last. Acceptance
@@ -912,8 +943,8 @@ func (s *searcher) leaf(last *model.PreparedGroup) {
 // leafAudit is a test-only observer of every leaf: the limit it was
 // priced against, and the cost and within the prefix stack returned for
 // it — for a leaf cut by its bound, the bound and false. It sees the
-// leaves of a loop cutLoop cut too, with searcher.hullCut set. Nothing
-// outside the package's tests sets it.
+// leaves of a subtree cutSubtree cut too, with searcher.hullCut set.
+// Nothing outside the package's tests sets it.
 var leafAudit func(s *searcher, last *model.PreparedGroup, cost, limit float64, within bool)
 
 // localBound is the acceptance threshold for the current unit: the

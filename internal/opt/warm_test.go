@@ -10,10 +10,12 @@ import (
 	"sompi/internal/model"
 )
 
-// TestWorkUnitsCoverSpaceExactly: the balanced units must partition the
-// subset space — every leaf in exactly one unit. The exhaustive serial
-// search's Evals count is the ground truth: 1 baseline evaluation plus
-// one per leaf, which must equal buildUnits' own size accounting.
+// TestWorkUnitsCoverSpaceExactly: the units — one per first group —
+// must partition the subset space, every leaf in exactly one unit, and
+// run in ascending spot-cost floor, ties in index order. The exhaustive
+// serial search's Evals count is the ground truth: 1 baseline evaluation
+// plus one per leaf, which must equal the units' leaves summed, each
+// first group's grid times every extension by up to κ−1 higher groups.
 func TestWorkUnitsCoverSpaceExactly(t *testing.T) {
 	m := testMarket(7)
 	cfg := smallConfig(m, app.BT(), 60)
@@ -24,13 +26,11 @@ func TestWorkUnitsCoverSpaceExactly(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Rebuild the unit set the search used and sum its size estimates.
 	groups, _, err := buildGroups(cfg.withDefaults(), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	gridLen := make([]int, len(groups))
-	minSpot := make([]float64, len(groups))
 	for i, g := range groups {
 		gridLen[i] = len(BidGrid(g, cfg.withDefaults().GridLevels))
 	}
@@ -38,44 +38,36 @@ func TestWorkUnitsCoverSpaceExactly(t *testing.T) {
 	if kappa > len(groups) {
 		kappa = len(groups)
 	}
-	units := buildUnits(gridLen, minSpot, kappa)
-	total := 0.0
-	for _, u := range units {
-		total += u.est
-	}
-	if got := float64(res.Evals - 1); got != total {
-		t.Fatalf("units account for %v leaves, exhaustive search evaluated %v", total, got)
-	}
-}
-
-// TestScalingSmoke is the CI fast-path: the unit splitter must produce a
-// balanced decomposition (the old first-index partitioning put the
-// majority of the space in partition 0). The units fix the visit order,
-// so they pin Evals and Pruned.
-func TestScalingSmoke(t *testing.T) {
-	// The bench shape: 12 markets x 6 grid points, kappa 4.
-	gridLen := make([]int, 12)
-	minSpot := make([]float64, 12)
-	for i := range gridLen {
-		gridLen[i] = 6
-	}
-	units := buildUnits(gridLen, minSpot, 4)
-	if len(units) < 2*len(gridLen) {
-		t.Fatalf("only %d units for 12 groups: splitter did not subdivide", len(units))
-	}
-	total, largest := 0.0, 0.0
-	for _, u := range units {
-		total += u.est
-		if u.est > largest {
-			largest = u.est
+	// ext(start, slots): the leaf factor of every extension by at most
+	// slots groups drawn from start on, the empty one included.
+	var ext func(start, slots int) int
+	ext = func(start, slots int) int {
+		n := 1
+		for j := start; slots > 0 && j < len(gridLen); j++ {
+			n += gridLen[j] * ext(j+1, slots-1)
 		}
+		return n
 	}
-	// First-index partition 0 holds ~46% of this space; balanced units
-	// must stay far below that.
-	if largest > 0.10*total {
-		t.Fatalf("largest unit holds %.1f%% of the space, want <= 10%%", 100*largest/total)
+	// Floors with a tie, out of index order.
+	minSpot := []float64{3, 1, 3, 2}[:len(groups)]
+	order := dispatchOrder(minSpot)
+	seen := make([]bool, len(groups))
+	total := 0
+	for k, first := range order {
+		if seen[first] {
+			t.Fatalf("order %v runs unit %d twice", order, first)
+		}
+		seen[first] = true
+		if k > 0 {
+			if prev := order[k-1]; minSpot[prev] > minSpot[first] || minSpot[prev] == minSpot[first] && prev > first {
+				t.Fatalf("order %v is not ascending in floors %v, ties by index", order, minSpot)
+			}
+		}
+		total += gridLen[first] * ext(first+1, kappa-1)
 	}
-
+	if got := res.Evals - 1; len(order) != len(groups) || got != total {
+		t.Fatalf("%d units account for %d leaves, exhaustive search evaluated %d", len(order), total, got)
+	}
 }
 
 // TestWarmDeltaByteIdentical is the seed-swept property test: after the
