@@ -164,7 +164,7 @@ func samePlan(pgs []*model.PreparedGroup, plan []model.GroupPlan) bool {
 // TestPlanMissPinnedAtParent pins three plan-miss configurations to the
 // literals the per-leaf k-way evaluator produced at the commit before the
 // prefix stack replaced it: the counters are a pure function of the
-// Config at Workers: 1 (B5), so any drift in what a leaf costs, or in
+// Config (B5), so any drift in what a leaf costs, or in
 // which leaves the incumbent lets through, moves them.
 func TestPlanMissPinnedAtParent(t *testing.T) {
 	train := planMissMarket()
@@ -179,7 +179,7 @@ func TestPlanMissPinnedAtParent(t *testing.T) {
 		{app.IS(), 46.5, 24578, 79367, 0x40526eb3b172ed60, 0x401fe365a8b31bd9, 1},
 		{app.LAMMPS(128), 46.5, 12296, 12041, 0x406e042a861fe8eb, 0x4046800000000000, 4},
 	} {
-		cfg := Config{Profile: pin.profile, Market: train, Deadline: pin.deadline, Workers: 1}
+		cfg := Config{Profile: pin.profile, Market: train, Deadline: pin.deadline}
 		res, err := OptimizeContext(context.Background(), cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -192,23 +192,18 @@ func TestPlanMissPinnedAtParent(t *testing.T) {
 				math.Float64bits(res.Est.Cost), math.Float64bits(res.Est.Time), len(res.Plan.Groups),
 				pin.evals, pin.pruned, pin.cost, pin.time, pin.groups)
 		}
-		// The exhaustive and the two-worker search cover the same
-		// evals+pruned leaves and return the same bytes.
-		for _, variant := range []func(*Config){
-			func(c *Config) { c.DisablePruning = true },
-			func(c *Config) { c.Workers = 2 },
-		} {
-			v := cfg
-			variant(&v)
-			got, err := OptimizeContext(context.Background(), v)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if fingerprint(got) != fingerprint(res) || got.Evals+got.Pruned != pin.evals+pin.pruned {
-				t.Errorf("%s@%g variant (pruning off %v, workers %d): %d leaves, plan\n%swant %d leaves, plan\n%s",
-					pin.profile.Name, pin.deadline, v.DisablePruning, v.Workers,
-					got.Evals+got.Pruned, fingerprint(got), pin.evals+pin.pruned, fingerprint(res))
-			}
+		// The exhaustive search covers the same evals+pruned leaves and
+		// returns the same bytes.
+		ex := cfg
+		ex.DisablePruning = true
+		got, err := OptimizeContext(context.Background(), ex)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fingerprint(got) != fingerprint(res) || got.Evals+got.Pruned != pin.evals+pin.pruned {
+			t.Errorf("%s@%g exhaustive: %d leaves, plan\n%swant %d leaves, plan\n%s",
+				pin.profile.Name, pin.deadline,
+				got.Evals+got.Pruned, fingerprint(got), pin.evals+pin.pruned, fingerprint(res))
 		}
 	}
 }
@@ -216,13 +211,11 @@ func TestPlanMissPinnedAtParent(t *testing.T) {
 // TestPlanMissSweepPinnedAtParent pins a sweep, not three points: the
 // sha256 of (plan bits, Est bits, Evals, Pruned) over every plan-miss
 // preset at six stratified deadlines on the 96 h and 24 h windows, under
-// each knob set below, plus a WarmBound-seeded and a deliberately
-// inadmissible warm start per point and a Workers: 2 plan-only
-// fingerprint. The literal was computed before the leaf walk learned to
-// stop at the incumbent; a search change that moves any plan or counter
-// moves it.
+// each knob set below. The literal was computed at the commit before the
+// warm-start seed was deleted, over these cold searches only; a search
+// change that moves any plan or counter moves it.
 func TestPlanMissSweepPinnedAtParent(t *testing.T) {
-	const want = "53eb4d5ad436884cef73c65b6831657e5a1dea822b2f44a86870dc6c4430bd18"
+	const want = "5934a0bed007f8a918ed6adc75db44e9a82d6490a81a43a95e28125417a925f2"
 	ctx := context.Background()
 	deadlines := planMissDeadlines(stats.NewRNG(1), 6)
 	windows := []struct {
@@ -240,67 +233,30 @@ func TestPlanMissSweepPinnedAtParent(t *testing.T) {
 		{"k3 max12 grid8", func(c *Config) { c.Kappa, c.MaxGroups, c.GridLevels = 3, 12, 8 }},
 	}
 	h := sha256.New()
-	run := func(label string, cfg Config, counters bool) Result {
-		t.Helper()
-		res, err := OptimizeContext(ctx, cfg)
-		if err != nil && !errors.Is(err, ErrDeadlineInfeasible) {
-			t.Fatalf("%s: %v", label, err)
-		}
-		fmt.Fprintf(h, "%s err=%v\n%s", label, err, fingerprint(res))
-		if counters {
-			fmt.Fprintf(h, "evals=%d pruned=%d retried=%v\n", res.Evals, res.Pruned, res.WarmRetried)
-		}
-		return res
-	}
-	plans, retried := 0, 0
+	plans := 0
 	for _, name := range planMissPresets {
 		p, ok := app.ByName(name)
 		if !ok {
 			t.Fatalf("no preset %q", name)
 		}
 		for _, d := range deadlines {
-			cold := make([]Result, len(windows))
-			for i, w := range windows {
-				base := Config{Profile: p, Market: w.view, Deadline: d, Workers: 1}
-				point := fmt.Sprintf("%s %s %x", w.name, name, d)
-				for j, k := range knobs {
-					cfg := base
+			for _, w := range windows {
+				for _, k := range knobs {
+					cfg := Config{Profile: p, Market: w.view, Deadline: d}
 					k.mutate(&cfg)
-					if res := run(point+" "+k.name, cfg, true); j == 0 {
-						cold[i] = res
+					label := fmt.Sprintf("%s %s %x %s", w.name, name, d, k.name)
+					res, err := OptimizeContext(ctx, cfg)
+					if err != nil && !errors.Is(err, ErrDeadlineInfeasible) {
+						t.Fatalf("%s: %v", label, err)
 					}
+					fmt.Fprintf(h, "%s err=%v\n%sevals=%d pruned=%d\n", label, err, fingerprint(res), res.Evals, res.Pruned)
+					plans++
 				}
-				two := base
-				two.Workers = 2
-				run(point+" workers 2", two, false)
-				plans += len(knobs) + 1
-			}
-			for i, w := range windows {
-				base := Config{Profile: p, Market: w.view, Deadline: d, Workers: 1}
-				point := fmt.Sprintf("%s %s %x", w.name, name, d)
-				// The other window's plan re-priced on this one: the seed a
-				// session brings across a market change.
-				warm := base
-				if hint, ok := WarmBound(base, cold[len(windows)-1-i].Plan); ok {
-					warm.InitialIncumbent = hint
-				}
-				run(point+" warm", warm, true)
-				plans++
-				if len(cold[i].Plan.Groups) == 0 {
-					continue
-				}
-				bad := base
-				bad.InitialIncumbent = cold[i].Est.Cost * 0.5
-				if res := run(point+" inadmissible", bad, true); !res.WarmRetried {
-					t.Errorf("%s: inadmissible seed %v (optimum %v) not retried", point, bad.InitialIncumbent, cold[i].Est.Cost)
-				}
-				plans++
-				retried++
 			}
 		}
 	}
 	got := hex.EncodeToString(h.Sum(nil))
-	t.Logf("%d plans hashed, %d inadmissible seeds retried: %s", plans, retried, got)
+	t.Logf("%d plans hashed: %s", plans, got)
 	if got != want {
 		t.Errorf("sweep hash %s, pinned %s", got, want)
 	}
