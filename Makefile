@@ -89,8 +89,10 @@ cluster-smoke:
 # E[Ratio]) holds the cheapest combination and bounds every
 # combination's leaf-bound term from below; and the pruned search
 # returns the exhaustive search's plan, with each leaf counted once, on
-# tiny adversarial markets with tied spot costs.
-# (go test -fuzz takes one target per invocation; thirteen targets.)
+# tiny adversarial markets with tied spot costs; and model.Evaluate
+# matches the brute-force enumerator on any plan of 1–3 groups that
+# Plan.Validate admits.
+# (go test -fuzz takes one target per invocation; fourteen targets.)
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test ./internal/store -run '^$$' -fuzz 'FuzzDecodeRecord' -fuzztime $(FUZZTIME)
@@ -103,6 +105,7 @@ fuzz:
 	$(GO) test ./internal/serve -run '^$$' -fuzz 'FuzzDurableEncode' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/model -run '^$$' -fuzz 'FuzzPrepare' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/model -run '^$$' -fuzz 'FuzzPrefixStack' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/model -run '^$$' -fuzz 'FuzzEvaluateMatchesBrute' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/opt -run '^$$' -fuzz 'FuzzLowerHull' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/opt -run '^$$' -fuzz 'FuzzOptimizeMatchesExhaustive' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/serve -run '^$$' -fuzz 'FuzzScanTicks' -fuzztime $(FUZZTIME)

@@ -80,8 +80,8 @@ func (vv VersionVector) String() string {
 // programs against. Two implementations exist: *Market (the live
 // sharded store; reads take per-shard read locks) and *MarketSnapshot
 // (an immutable capture; reads are lock-free). Long-running work
-// (optimization, Monte Carlo) should take a Snapshot first so ingestion
-// never races its reads.
+// (optimization, Monte Carlo) should take a Capture of a live *Market
+// first so ingestion never races its reads.
 type MarketView interface {
 	// Catalog returns the instance types the market's keys refer to.
 	Catalog() Catalog
@@ -118,8 +118,6 @@ type MarketView interface {
 	// Window returns an immutable view restricted to
 	// [startHour, startHour+dur) in absolute market hours.
 	Window(startHour, dur float64) MarketView
-	// Snapshot returns an immutable capture of the current state.
-	Snapshot() MarketView
 }
 
 var (
@@ -138,7 +136,7 @@ var (
 // undisturbed. Traces are immutable — an append writes past the end of
 // every capped view handed out and installs a new *trace.Trace — so any
 // captured view stays internally consistent.
-// Composite reads (Version, VersionVector, MinDuration, Snapshot) visit
+// Composite reads (Version, VersionVector, MinDuration, Capture) visit
 // shards one read-lock at a time and are therefore weakly consistent
 // under concurrent ingestion: each entry is exact, the cross-shard
 // combination may interleave with in-flight appends. Lock ordering:
@@ -529,14 +527,6 @@ func (m *Market) Window(startHour, dur float64) MarketView {
 	return m.Capture().Window(startHour, dur)
 }
 
-// Snapshot returns an immutable capture of the market at its current
-// versions. Traces are shared, not copied — they are immutable, so the
-// snapshot is a consistent view that later Appends on the parent cannot
-// disturb. The planner service hands snapshots to long-running work
-// (optimization, Monte Carlo replays) so ingestion never races a
-// replay's market reads.
-func (m *Market) Snapshot() MarketView { return m.Capture() }
-
 // WindowBounds reports the absolute [start, start+dur) window this view
 // is restricted to, and whether those bounds are exactly known. A live
 // market is the full history: bounds (0, +Inf) and exact. Together with
@@ -552,8 +542,12 @@ func (m *Market) WindowBounds() (start, dur float64, exact bool) {
 	return 0, math.Inf(1), true
 }
 
-// Capture is Snapshot with a concrete return type, for callers that need
-// the snapshot-only API surface.
+// Capture returns an immutable capture of the market at its current
+// versions. Traces are shared, not copied — they are immutable, so the
+// snapshot is a consistent view that later Appends on the parent cannot
+// disturb. The planner service hands snapshots to long-running work
+// (optimization, Monte Carlo replays) so ingestion never races a
+// replay's market reads.
 func (m *Market) Capture() *MarketSnapshot {
 	snap := &MarketSnapshot{
 		cat:      m.cat,
@@ -710,9 +704,6 @@ func (s *MarketSnapshot) Window(startHour, dur float64) MarketView {
 func (s *MarketSnapshot) WindowBounds() (start, dur float64, exact bool) {
 	return s.winStart, s.winDur, s.winExact
 }
-
-// Snapshot returns the snapshot itself: it is already immutable.
-func (s *MarketSnapshot) Snapshot() MarketView { return s }
 
 // zoneProfile captures how turbulent a zone's markets are. The paper's
 // Figure 1 shows us-east-1a markets spiking past 10x on-demand while

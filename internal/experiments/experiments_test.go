@@ -223,13 +223,12 @@ func TestKappaEvalsGrow(t *testing.T) {
 // when the pin was added: κ, normalized expected cost and evaluations;
 // wall-ms is a clock and stays unpinned. It records the ⚠ of
 // EXPERIMENTS.md: the cost is flat from κ = 1, not falling to κ = 4 as in
-// the paper, while the evaluations grow ~700×. Workers is 1 as it was
-// when the rows were pinned; the search runs on one worker whatever it
-// says, so Evals is a pure function of the Config, and a search change
+// the paper, while the evaluations grow ~700×. The study runs no replay
+// or tournament pool, so Workers plays no part; the search runs on one
+// worker, Evals is a pure function of the Config, and a search change
 // that moves which leaves are evaluated moves a row.
 func TestKappaStudyPinned(t *testing.T) {
 	p := tiny()
-	p.Workers = 1
 	tab := Kappa(p)
 	want := [][]string{
 		{"1", "0.363", "96"},

@@ -107,6 +107,7 @@ func TestConfigValidation(t *testing.T) {
 		{"kappa over max groups", func(c *Config) { c.Kappa = 6; c.MaxGroups = 4 }},
 		{"max-all-fail over 1", func(c *Config) { c.MaxAllFail = 1.5 }},
 		{"negative workers", func(c *Config) { c.Workers = -3 }},
+		{"negative initial incumbent", func(c *Config) { c.InitialIncumbent = -1 }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -151,3 +151,36 @@ func TestPhiNeverExceedsT(t *testing.T) {
 		}
 	}
 }
+
+// TestSerialCountersDeterministic: Evals and Pruned are part of the API
+// contract — two identical calls return identical counters, and the
+// deprecated InitialIncumbent, set above or below the optimum, moves
+// neither them nor the plan.
+func TestSerialCountersDeterministic(t *testing.T) {
+	m := testMarket(42)
+	base := smallConfig(m, app.BT(), 60)
+	a, err := OptimizeContext(context.Background(), base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := OptimizeContext(context.Background(), base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a.Evals != b.Evals || a.Pruned != b.Pruned || a.SavedEvals != b.SavedEvals {
+		t.Fatalf("serial counters drifted: (%d,%d,%d) vs (%d,%d,%d)",
+			a.Evals, a.Pruned, a.SavedEvals, b.Evals, b.Pruned, b.SavedEvals)
+	}
+	for _, seed := range []float64{a.Est.Cost * 0.5, a.Est.Cost, 50} {
+		ignored := base
+		ignored.InitialIncumbent = seed
+		c, err := OptimizeContext(context.Background(), ignored)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fingerprint(c) != fingerprint(a) || c.Evals != a.Evals || c.Pruned != a.Pruned {
+			t.Fatalf("InitialIncumbent %v moved the search: evals %d pruned %d, want %d %d",
+				seed, c.Evals, c.Pruned, a.Evals, a.Pruned)
+		}
+	}
+}

@@ -44,7 +44,7 @@ type Config struct {
 	// Market supplies price history for every candidate circle group.
 	// The optimizer only reads the shards named by Candidates (plus the
 	// catalog for the recovery fleet); callers with a live *cloud.Market
-	// should pass a Snapshot so ingestion cannot race the search.
+	// should pass a Capture so ingestion cannot race the search.
 	Market cloud.MarketView
 	// Deadline is the user's completion deadline in hours.
 	Deadline float64
@@ -83,16 +83,11 @@ type Config struct {
 	// exists for the benchmark-regression harness and the determinism
 	// tests.
 	DisablePruning bool
-	// InitialIncumbent, when positive, seeds the branch-and-bound
-	// incumbent with an externally known achievable cost — typically the
-	// session's previous plan re-evaluated under the current market (see
-	// WarmBound) — so pruning starts tight instead of from the on-demand
-	// baseline. The returned plan is bit-identical to a cold search's:
-	// an admissible seed (≥ the true optimum) can never prune an optimal
-	// leaf, and an inadmissible one is detected — the search found
-	// nothing at or below the seed — and answered by re-running the
-	// subset search cold (Result.WarmRetried). Zero (or a seed above the
-	// baseline) disables warm starting.
+	// InitialIncumbent has no effect: every search starts its incumbent
+	// at the on-demand baseline. A negative value is still
+	// ErrInvalidConfig.
+	//
+	// Deprecated: leave it zero.
 	InitialIncumbent float64
 	// Reuse, when non-nil, carries prepared-group state (failure
 	// distributions, bid grids, standalone ranking costs) across
@@ -261,11 +256,12 @@ type Result struct {
 	// plan's spot cost already exceeded the incumbent best.
 	//
 	// Determinism contract: Plan and Est are bit-identical with or
-	// without pruning, warm starting and reuse. Evals and Pruned are
-	// exactly deterministic too — the one searcher drains the units in
-	// the fixed dispatch order, so the incumbent trajectory is a pure
-	// function of the Config; two identical calls return identical
-	// counters, which the determinism tests assert. Config.Reuse never
+	// without pruning and reuse. Evals and Pruned are exactly
+	// deterministic too — the one searcher drains the units in the fixed
+	// dispatch order from the on-demand baseline, so the incumbent
+	// trajectory is a pure function of the Config; two identical calls
+	// return identical counters, which the determinism tests assert.
+	// Config.Reuse never
 	// touches the search: it can only move ranking evaluations (at most
 	// GridLevels per reused group) from Evals into SavedEvals, so Pruned
 	// and Evals+SavedEvals are the same with or without it.
@@ -279,12 +275,6 @@ type Result struct {
 	// (failure distributions, bid grid, spot-cost floor) came from
 	// Config.Reuse instead of being re-derived.
 	ReusedGroups int
-	// WarmRetried reports that Config.InitialIncumbent turned out to be
-	// inadmissible (below the true optimum, so the warm search pruned
-	// everything at or above it) and the subset search was re-run cold
-	// to preserve the determinism contract. Evals/Pruned then include
-	// both passes.
-	WarmRetried bool
 	// Explain is the decision trail, populated only when Config.Explain
 	// was set (nil otherwise).
 	Explain *Explain
@@ -552,13 +542,8 @@ func OptimizeContext(ctx context.Context, cfg Config) (Result, error) {
 		}()
 	}
 
-	// runSearch traverses every unit with the pruning incumbent seeded at
-	// seed, under one opt.search.worker span. It is invoked once warm, and
-	// a second time cold if the warm seed proves inadmissible. Only the
-	// incumbent is seeded; the acceptance threshold (searcher.localBound)
-	// always starts from the on-demand baseline, so an admissible seed —
-	// including one exactly equal to the optimum — changes which leaves
-	// are pruned but never which of the surviving leaves is accepted.
+	// The search starts its incumbent at the on-demand baseline and
+	// traverses every unit under one opt.search.worker span.
 	s := &searcher{
 		cfg:       cfg,
 		od:        od,
@@ -568,6 +553,7 @@ func OptimizeContext(ctx context.Context, cfg Config) (Result, error) {
 		minSpot:   minSpot,
 		kappa:     kappa,
 		baseline:  best.Est.Cost,
+		incumbent: best.Est.Cost,
 		stop:      &stop,
 		subset:    make([]int, 0, kappa),
 		pgs:       make([]*model.PreparedGroup, 0, kappa),
@@ -580,70 +566,30 @@ func OptimizeContext(ctx context.Context, cfg Config) (Result, error) {
 		s.hulls = newSuffixHulls(sortedGrids(prepared))
 		s.node = make([]int32, kappa+1)
 	}
-	runSearch := func(seed float64) (bestRun Result, found bool, evals, pruned int) {
-		_, wsp := obs.StartSpan(ctx, "opt.search.worker")
-		s.incumbent = seed
-		s.evals, s.pruned = 0, 0
-		bestFirst := 0
-		for _, first := range order {
-			if !s.searchUnit(first) {
-				continue
-			}
-			if c := s.best.Est.Cost; !found || c < bestRun.Est.Cost || c == bestRun.Est.Cost && first < bestFirst {
-				bestRun, found, bestFirst = s.best, true, first
-			}
-		}
-		if wsp != nil {
-			wsp.AttrInt("units", int64(len(order)))
-			wsp.AttrInt("evals", int64(s.evals))
-			wsp.AttrInt("pruned", int64(s.pruned))
-			wsp.End()
-		}
-		return bestRun, found, s.evals, s.pruned
-	}
-
-	// Warm start: seed the incumbent with the caller's known-achievable
-	// cost when it beats the baseline. If the seed is admissible (≥ the
-	// true optimum) the strict-> pruning can never cut an optimal leaf,
-	// so the result is bit-identical to cold; if it is inadmissible the
-	// search provably finds nothing at or below it — every surviving
-	// cost then exceeds the seed, which is the detection below.
-	seed := best.Est.Cost
-	warm := !cfg.DisablePruning && cfg.InitialIncumbent > 0 && cfg.InitialIncumbent < seed
-	if warm {
-		seed = cfg.InitialIncumbent
-	}
-
 	sc.begin("subset_search")
-	unitBest, found, sEvals, sPruned := runSearch(seed)
-	evals += sEvals
-	pruned := sPruned
-	warmRetried := false
-	if warm && ctx.Err() == nil {
-		got := best.Est.Cost
-		if found && unitBest.Est.Cost < got {
-			got = unitBest.Est.Cost
+	_, wsp := obs.StartSpan(ctx, "opt.search.worker")
+	unitBest, found, bestFirst := Result{}, false, 0
+	for _, first := range order {
+		if !s.searchUnit(first) {
+			continue
 		}
-		if got > cfg.InitialIncumbent {
-			// The hint was inadmissible: nothing achieved it, so pruning
-			// may have cut the true optimum. Re-run cold from the
-			// baseline; the retry dominates the cost of trusting a bad
-			// hint and keeps the bit-identical guarantee unconditional.
-			warmRetried = true
-			sc.begin("subset_search_cold_retry")
-			unitBest, found, sEvals, sPruned = runSearch(best.Est.Cost)
-			evals += sEvals
-			pruned += sPruned
+		if c := s.best.Est.Cost; !found || c < unitBest.Est.Cost || c == unitBest.Est.Cost && first < bestFirst {
+			unitBest, found, bestFirst = s.best, true, first
 		}
+	}
+	if wsp != nil {
+		wsp.AttrInt("units", int64(len(order)))
+		wsp.AttrInt("evals", int64(s.evals))
+		wsp.AttrInt("pruned", int64(s.pruned))
+		wsp.End()
 	}
 	if found && unitBest.Est.Cost < best.Est.Cost {
 		best = unitBest
 	}
-	best.Evals = evals
-	best.Pruned = pruned
+	best.Evals = evals + s.evals
+	best.Pruned = s.pruned
 	best.SavedEvals = saved
 	best.ReusedGroups = reusedGroups
-	best.WarmRetried = warmRetried
 	if ex != nil {
 		ex.SavedEvals = saved
 	}
@@ -788,7 +734,7 @@ func (s *searcher) searchBids(depth int) {
 		// incumbent, its bounds never strictly exceed a value the
 		// incumbent (which only tightens) held at any earlier time, so
 		// the winning leaf is always evaluated — which is what makes the
-		// result independent of pruning and of the warm seed alike.
+		// result independent of pruning.
 		if !s.cfg.DisablePruning && bound > s.incumbent {
 			s.pruned += s.leaves[depth+1]
 			continue

@@ -43,7 +43,7 @@ import (
 //
 // Reuse never changes the returned plan: a cache hit substitutes values
 // that are bit-identical to what a cold computation would produce (the
-// determinism property the warm-vs-cold tests assert byte-for-byte).
+// determinism property the reuse-vs-cold tests assert byte-for-byte).
 // It does change Result.Evals — ranking evaluations the standalone memo
 // answered are reported in Result.SavedEvals instead.
 //

@@ -38,7 +38,7 @@ const (
 )
 
 // Runner replays plans for one application against one market view.
-// Callers holding a live *cloud.Market should pass a Snapshot so
+// Callers holding a live *cloud.Market should pass a Capture so
 // ingestion cannot shift prices mid-replay.
 type Runner struct {
 	Market  cloud.MarketView

@@ -86,11 +86,9 @@ type metrics struct {
 	schedulerLag *obs.Histogram
 	reoptDeduped atomic.Int64
 
-	// warmStarts counts session re-optimizations whose previous plan
-	// re-priced into an admissible incumbent seed; evalsSaved counts
-	// ranking-stage evaluations the reuse cache's per-group memo
-	// answered across all optimizations (plan requests and re-opts).
-	warmStarts atomic.Int64
+	// evalsSaved counts ranking-stage evaluations the reuse cache's
+	// per-group memo answered across all optimizations (plan requests
+	// and re-opts).
 	evalsSaved atomic.Int64
 
 	// Durability: walFsync times every WAL fsync, walAppendErrors counts
@@ -430,8 +428,6 @@ func (m *metrics) render(w io.Writer, s renderSample) {
 
 	header(w, "sompid_reoptimizations_total", "counter", "Tracked-session window re-optimizations.")
 	fmt.Fprintf(w, "sompid_reoptimizations_total %d\n", m.reoptimizations.Load())
-	header(w, "sompid_reopt_warm_starts_total", "counter", "Re-optimizations seeded with the previous plan's re-priced cost as the branch-and-bound incumbent.")
-	fmt.Fprintf(w, "sompid_reopt_warm_starts_total %d\n", m.warmStarts.Load())
 	header(w, "sompid_reopt_evals_saved_total", "counter", "Ranking-stage cost-model evaluations answered by the cross-optimization reuse cache instead of re-run.")
 	fmt.Fprintf(w, "sompid_reopt_evals_saved_total %d\n", m.evalsSaved.Load())
 	header(w, "sompid_reopt_deduped_total", "counter", "Session re-optimizations answered by a coalesced identical optimizer run.")

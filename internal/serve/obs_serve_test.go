@@ -480,7 +480,6 @@ func TestExpositionFormat(t *testing.T) {
 		"# HELP sompid_request_seconds ",
 		"# TYPE sompid_request_seconds histogram",
 		`sompid_ingest_seconds_count{market="m1.medium/us-east-1a"}`,
-		"# TYPE sompid_reopt_warm_starts_total counter",
 		"# TYPE sompid_reopt_evals_saved_total counter",
 		"# TYPE sompid_ingest_queue_depth gauge",
 		`sompid_ingest_queue_depth{market="m1.medium/us-east-1a"}`,

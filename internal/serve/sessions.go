@@ -74,8 +74,9 @@ type trackedSession struct {
 	// strat, when non-nil, re-plans each window through a registry
 	// strategy instead of the default Algorithm-1 optimizer call. It is
 	// rebuilt from req on recovery (never persisted itself): sessions
-	// planned by "" or "sompi" keep strat nil so the default loop — warm
-	// starts, committed-window MaxAllFail — runs exactly as before.
+	// planned by "" or "sompi" keep strat nil so the default loop — the
+	// reuse cache, committed-window MaxAllFail, single-flight dedup —
+	// runs exactly as before.
 	strat strategy.Strategy
 	// req is the original plan request; seq the session's durable
 	// transition counter (see sessionState). reqJSON is req's encoding,
@@ -322,12 +323,10 @@ func (s *Server) advanceWindow(ctx context.Context, t *trackedSession) (aborted 
 		cfg.MaxAllFail = 0.1
 	}
 
-	// Re-optimization is incremental: unchanged shards reuse their
-	// prepared state and ranking costs from the server's cache, and
-	// the session's previous plan — re-priced under the current
-	// market — seeds the branch-and-bound incumbent so pruning starts
-	// tight. Neither changes the plan (see opt.Config.InitialIncumbent
-	// and opt.ReuseCache for the bit-identity argument).
+	// Re-optimization is the same cold search /v1/plan runs, on the
+	// server's reuse cache: unchanged shards reuse their prepared state
+	// and ranking costs, which never changes the plan (see
+	// opt.ReuseCache for the bit-identity argument).
 	cfg.Reuse = s.reuse
 	var res opt.Result
 	var err error
@@ -358,12 +357,6 @@ func (s *Server) advanceWindow(ctx context.Context, t *trackedSession) (aborted 
 			// need it — k coalesced sessions pay for one copy, not k.
 			run := cfg
 			run.Market = s.market.Window(trainStart, t.boundary-trainStart)
-			if len(t.plan.Groups) > 0 {
-				if hint, ok := opt.WarmBound(run, t.plan); ok {
-					run.InitialIncumbent = hint
-					s.met.warmStarts.Add(1)
-				}
-			}
 			r, e := opt.OptimizeContext(ctx, run)
 			s.met.observeOptimize(r)
 			return r, e
@@ -419,9 +412,8 @@ func (s *Server) advanceWindow(ctx context.Context, t *trackedSession) (aborted 
 // the samples inside [trainStart, boundary) are immutable — appends
 // only extend past the frontier — except for retention truncation,
 // which the effective retained start pins. Two sessions with equal keys
-// therefore hand the optimizer bit-identical inputs, and the warm-start
-// incumbent (deliberately excluded) provably never changes the result
-// (see opt.Config.InitialIncumbent).
+// therefore hand the optimizer bit-identical inputs and get the
+// identical plan.
 func (s *Server) reoptKey(t *trackedSession, cfg opt.Config, leftover, trainStart float64) string {
 	effStart := math.Max(trainStart, s.market.RetainedStartFor(t.keys))
 	return fmt.Sprintf("reopt|%s|%g|%d|%d|%d|%g|%g|%t|%t|t:%s|z:%s|s:%s|sp{%s}|sc:%v|lo:%v|ts:%v|b:%v|es:%v|maf:%v",

@@ -71,7 +71,7 @@ func effectiveStrategyParams(req PlanRequest) map[string]float64 {
 // sessions alike. The sompi family — no strategy or "sompi" — resolves
 // one way: the effective knobs are validated through the registry and
 // come back as the opt.Config of the default optimizer loop with a nil
-// strategy, so both spellings get the same 400s, warm starts,
+// strategy, so both spellings get the same 400s, reuse cache,
 // committed-window MaxAllFail and single-flight dedup. Every other name
 // comes back as its registry strategy. Market and Candidates are left
 // to the caller.

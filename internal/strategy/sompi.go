@@ -71,12 +71,11 @@ func (s *SOMPI) config(view cloud.MarketView, w Workload, d Deadline) opt.Config
 func (s *SOMPI) Plan(ctx context.Context, view cloud.MarketView, w Workload, d Deadline) (Plan, *Explain, error) {
 	res, err := opt.OptimizeContext(ctx, s.config(view, w, d))
 	out := Plan{
-		Model:       res.Plan,
-		Est:         res.Est,
-		Evals:       res.Evals,
-		Pruned:      res.Pruned,
-		SavedEvals:  res.SavedEvals,
-		WarmRetried: res.WarmRetried,
+		Model:      res.Plan,
+		Est:        res.Est,
+		Evals:      res.Evals,
+		Pruned:     res.Pruned,
+		SavedEvals: res.SavedEvals,
 	}
 	var ex *Explain
 	if res.Explain != nil {

@@ -57,9 +57,6 @@ type Plan struct {
 	// Evals, Pruned and SavedEvals report optimizer search effort; zero
 	// for strategies that never enter the κ-subset search.
 	Evals, Pruned, SavedEvals int
-	// WarmRetried reports that an inadmissible warm-start seed was
-	// detected and the search re-ran cold (sompi only).
-	WarmRetried bool
 }
 
 // Explain is a strategy's decision trail.
