@@ -542,8 +542,6 @@ func OptimizeContext(ctx context.Context, cfg Config) (Result, error) {
 		}()
 	}
 
-	// The search starts its incumbent at the on-demand baseline and
-	// traverses every unit under one opt.search.worker span.
 	s := &searcher{
 		cfg:       cfg,
 		od:        od,
