@@ -211,7 +211,7 @@ func TestKappaEvalsGrow(t *testing.T) {
 	}
 	for r := 1; r < len(tab.Rows); r++ {
 		if cell(t, tab, tab.Rows, r, 2) <= cell(t, tab, tab.Rows, r-1, 2) {
-			t.Errorf("evaluations did not grow with kappa:\n%s", tab)
+			t.Errorf("enumerated leaves did not grow with kappa:\n%s", tab)
 		}
 		if cell(t, tab, tab.Rows, r, 1) > cell(t, tab, tab.Rows, r-1, 1)+1e-9 {
 			t.Errorf("expected cost rose with kappa:\n%s", tab)
@@ -220,26 +220,28 @@ func TestKappaEvalsGrow(t *testing.T) {
 }
 
 // TestKappaStudyPinned pins the κ study at tiny() to the rows it printed
-// when the pin was added: κ, normalized expected cost and evaluations;
-// wall-ms is a clock and stays unpinned. It records the ⚠ of
-// EXPERIMENTS.md: the cost is flat from κ = 1, not falling to κ = 4 as in
-// the paper, while the evaluations grow ~700×. The study runs no replay
-// or tournament pool, so Workers plays no part; the search runs on one
-// worker, Evals is a pure function of the Config, and a search change
-// that moves which leaves are evaluated moves a row.
+// when the pin was added: κ, normalized expected cost, the leaves
+// enumerated (Evals + Pruned) and the evaluations (Evals); wall-ms is a
+// clock and stays unpinned. It records the ⚠ of EXPERIMENTS.md: the cost
+// is flat from κ = 1, not falling to κ = 4 as in the paper, while the
+// space the traversal enumerates grows ~5,200× and the leaves the pruned
+// search evaluates only ~2×. The study runs no replay or tournament
+// pool, so Workers plays no part; the search runs on one worker, Evals
+// and Pruned are a pure function of the Config, and a search change that
+// moves which leaves are evaluated moves a row.
 func TestKappaStudyPinned(t *testing.T) {
 	p := tiny()
 	tab := Kappa(p)
 	want := [][]string{
-		{"1", "0.363", "96"},
-		{"2", "0.363", "792"},
-		{"3", "0.363", "6307"},
-		{"4", "0.363", "26745"},
-		{"5", "0.363", "65888"},
+		{"1", "0.363", "103", "96"},
+		{"2", "0.363", "1111", "103"},
+		{"3", "0.363", "13207", "124"},
+		{"4", "0.363", "103927", "159"},
+		{"5", "0.363", "539383", "194"},
 	}
 	got := make([][]string, len(tab.Rows))
 	for i, row := range tab.Rows {
-		got[i] = row[:min(3, len(row))]
+		got[i] = row[:min(4, len(row))]
 	}
 	if fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Errorf("κ study rows %v, pinned %v\n%s", got, want, tab)

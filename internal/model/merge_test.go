@@ -47,9 +47,9 @@ func TestPlanMissMergesOnDemand(t *testing.T) {
 	// pass plans every preset at every deadline once. The first pass also
 	// fills the cache's per-profile tiers, as the benchmark's first
 	// iteration does; the audited pass is the second, the benchmark's
-	// steady state. Its per-plan figures, 34,898.3 evals and 65,660.7
-	// pruned, print as 34899 and 65661 in BenchmarkPlanMiss, whose mean
-	// takes in the first pass's 1,675,426 evals.
+	// steady state. Its per-plan figures are 181.8 evals (leaves visited
+	// plus ranking evaluations) and 100,377.2 pruned; BenchmarkPlanMiss's
+	// mean takes in the first pass's 9,032 evals too.
 	pass := func() (evals, pruned int) {
 		for _, p := range profiles {
 			for _, d := range deadlines {
@@ -63,7 +63,7 @@ func TestPlanMissMergesOnDemand(t *testing.T) {
 		}
 		return evals, pruned
 	}
-	for n, want := range [][2]int{{1675426, 3151712}, {1675120, 3151712}} {
+	for n, want := range [][2]int{{9032, 4818106}, {8726, 4818106}} {
 		var stop func() (int, int)
 		if n == 1 {
 			stop = model.AuditMerges()

@@ -86,10 +86,10 @@ func tinyCase(raw []byte) Config {
 // FuzzOptimizeMatchesExhaustive holds the pruned search to the exhaustive
 // one on tiny adversarial markets (tinyCase): the same plan and estimate
 // to the bit, the same error, a plan Validate accepts and a spot plan
-// within the deadline. Every leaf counts once, in Evals or Pruned, so the
-// pruned search's Evals + Pruned equals the exhaustive search's Evals:
-// the bulk counts of cut subtrees must reproduce each leaf's own spot
-// test, on tied spot costs too.
+// within the deadline. Every leaf counts once, in Evals if the search
+// visited it or in Pruned if a bound settled it, so the pruned search's
+// Evals + Pruned equals the exhaustive search's Evals: a cut that counts
+// its leaves twice, or not at all, fails here, on tied spot costs too.
 func FuzzOptimizeMatchesExhaustive(f *testing.F) {
 	r := stats.NewRNG(46)
 	for i := 0; i < 24; i++ {

@@ -35,8 +35,10 @@ type Explain struct {
 	// WorkUnits is how many units the subset space was split into for
 	// the dispatch order: one per first group.
 	WorkUnits int `json:"work_units,omitempty"`
-	// Evals and Pruned mirror Result's search-effort counters;
-	// SavedEvals mirrors Result.SavedEvals (reuse-memo hits).
+	// Evals and Pruned mirror Result's search-effort counters: the
+	// evaluations performed, one per search leaf visited, and the leaves
+	// a bound settled unvisited. SavedEvals mirrors Result.SavedEvals
+	// (reuse-memo hits).
 	Evals      int `json:"evals"`
 	Pruned     int `json:"pruned"`
 	SavedEvals int `json:"saved_evals,omitempty"`

@@ -155,19 +155,25 @@ func TestExplainDeadlineRejections(t *testing.T) {
 // Workers says, at GOMAXPROCS 2. So the disabled path, where every one
 // of those sites is an allocation-free context lookup
 // (TestDisabledPathZeroAlloc; newStageClock is nil), does O(1) of them
-// per plan. The two configs' evaluation counts differ by over 100×; a
-// span site inside the per-unit or per-leaf loops breaks the count.
+// per plan. The exhaustive default config visits every leaf of its space,
+// over 100× the small config's evaluations, and the pruned one cuts most
+// of the same space by its bounds; a span site inside the per-unit,
+// per-subtree or per-leaf loops breaks the count.
 func TestOptimizeSpans(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	bt := app.BT()
+	def := Config{Profile: bt, Market: testMarket(42), Deadline: FastestOnDemand(nil, bt).T * 1.5}
+	exhaustive := def
+	exhaustive.DisablePruning = true
 	configs := []struct {
 		name string
 		cfg  Config
 	}{
 		{"small", smallConfig(testMarket(5), bt, 60)},
-		{"default", Config{Profile: bt, Market: testMarket(42), Deadline: FastestOnDemand(nil, bt).T * 1.5}},
+		{"default", def},
+		{"default exhaustive", exhaustive},
 	}
-	var evals [2]int
+	var evals [3]int
 	for i, tc := range configs {
 		for _, workers := range []int{0, 1, 2} {
 			cfg := tc.cfg
@@ -207,8 +213,8 @@ func TestOptimizeSpans(t *testing.T) {
 			}
 		}
 	}
-	t.Logf("evals: %d and %d", evals[0], evals[1])
-	if evals[1] < 100*evals[0] {
-		t.Fatalf("evals %d and %d differ by less than 100x; the count would not show a per-leaf span", evals[0], evals[1])
+	t.Logf("evals: %d, %d and %d", evals[0], evals[1], evals[2])
+	if evals[2] < 100*evals[0] {
+		t.Fatalf("evals %d and %d differ by less than 100x; the count would not show a per-leaf span", evals[0], evals[2])
 	}
 }

@@ -1,9 +1,7 @@
 package opt
 
 import (
-	"cmp"
 	"math"
-	"slices"
 
 	"sompi/internal/model"
 )
@@ -66,10 +64,9 @@ func hullMin(hull []hullPoint, y float64) float64 {
 	return m
 }
 
-// sortedGrids returns every group's grid points in ascending spot cost,
-// cut from one slab: the bulk count's sorted levels and the suffix
-// hulls' inputs.
-func sortedGrids(prepared [][]*model.PreparedGroup) [][]hullPoint {
+// gridPoints returns every group's grid points, the suffix hulls' inputs,
+// cut from one slab.
+func gridPoints(prepared [][]*model.PreparedGroup) [][]hullPoint {
 	total := 0
 	for _, bids := range prepared {
 		total += len(bids)
@@ -82,7 +79,6 @@ func sortedGrids(prepared [][]*model.PreparedGroup) [][]hullPoint {
 		for j, pg := range bids {
 			grid[j] = hullPoint{pg.CostSpot(), pg.ERatio()}
 		}
-		slices.SortStableFunc(grid, func(a, b hullPoint) int { return cmp.Compare(a.cs, b.cs) })
 		grids[i] = grid
 	}
 	return grids

@@ -247,13 +247,17 @@ func BidGrid(g *model.Group, levels int) []float64 {
 type Result struct {
 	Plan model.Plan
 	Est  model.Estimate
-	// Evals counts cost-model evaluations performed — the optimization-
-	// overhead metric of the κ parameter study: one per leaf the
-	// spot-cost bounds admit, priced alone or counted with its cut subtree,
-	// whether its walk stopped at the incumbent, its cost alone rejected
-	// it or it went on to a full estimate with its time side. Pruned
-	// counts the evaluations branch-and-bound skipped because a partial
-	// plan's spot cost already exceeded the incumbent best.
+	// Evals counts the evaluations the search performed — the
+	// optimization-overhead metric of the κ parameter study: the
+	// on-demand baseline, the ranking stage's standalone evaluations, and
+	// one per leaf the search visited, whether its O(1) bound cut it, its
+	// walk stopped at the incumbent, its cost alone rejected it or it went
+	// on to a full estimate with its time side. Pruned counts the leaves a
+	// bound settled without visiting them: a subset or partial plan whose
+	// spot cost already exceeds the incumbent, or a subtree whose suffix
+	// hull bound does. Evals + Pruned is the baseline, the ranking
+	// evaluations Config.Reuse did not answer and every leaf of the
+	// κ-subset space, whatever pruning did.
 	//
 	// Determinism contract: Plan and Est are bit-identical with or
 	// without pruning and reuse. Evals and Pruned are exactly
@@ -561,7 +565,7 @@ func OptimizeContext(ctx context.Context, cfg Config) (Result, error) {
 		leaves:    make([]int, kappa+1),
 	}
 	if !cfg.DisablePruning {
-		s.hulls = newSuffixHulls(sortedGrids(prepared))
+		s.hulls = newSuffixHulls(gridPoints(prepared))
 		s.node = make([]int32, kappa+1)
 	}
 	sc.begin("subset_search")
@@ -635,10 +639,9 @@ type searcher struct {
 	// stack mirrors pgs: the placed groups' survival product, which the
 	// leaves below them price themselves against.
 	stack *model.PrefixStack
-	// hulls holds every group's grid sorted by spot cost and the lower
-	// hulls cutSubtree bounds whole subtrees with; node[d] is the hulls
-	// node of the subset's groups at depths >= d. Both are nil with
-	// pruning off.
+	// hulls holds the lower hulls cutSubtree bounds whole subtrees with;
+	// node[d] is the hulls node of the subset's groups at depths >= d.
+	// Both are nil with pruning off.
 	hulls *suffixHulls
 	node  []int32
 	// hullCut is set while the leaf audit walks a subtree cutSubtree cut.
@@ -764,79 +767,30 @@ func (s *searcher) descend(depth int, pg *model.PreparedGroup) {
 }
 
 // cutSubtree reports whether every leaf below pg, placed at depth, is one
-// its own LeafBound cuts at the incumbent, and if so counts the subtree
-// as its walk would have counted it. With y the subtree's E[Ratio]
-// factor, each leaf's bound is its placed spot cost plus Σ cs + y·Π e
-// over the groups below, deflated; the minimum of that over the suffix
-// hull bounds them all, and loopDeflate covers both the leaf's deflation
-// and the different association. No leaf of a cut subtree could have
-// been accepted, so the incumbent, the unit's best and the plan do not
-// move, and count adds to Pruned and Evals what the walk's spot-cost
-// tests would have added.
+// its own LeafBound cuts at the incumbent, and if so adds the subtree's
+// leaves to Pruned. With y the subtree's E[Ratio] factor, each leaf's
+// bound is its placed spot cost plus Σ cs + y·Π e over the groups below,
+// deflated; the minimum of that over the suffix hull bounds them all, and
+// loopDeflate covers both the leaf's deflation and the different
+// association. No leaf of a cut subtree could have been accepted, so the
+// incumbent, the unit's best and the plan do not move.
 func (s *searcher) cutSubtree(depth int, pg *model.PreparedGroup, hull []hullPoint) bool {
 	y := s.stack.EProd() * pg.ERatio() * s.odT * s.odRate
 	part := s.partial[depth] + pg.CostSpot()
 	if !((part+hullMin(hull, y))*loopDeflate > s.incumbent) {
 		return false
 	}
-	s.count(depth+1, part)
+	s.pruned += s.leaves[depth+1]
 	if leafAudit != nil {
 		// The audit sees each leaf with the state the walk would have
-		// shown it; the counts stay the bulk ones. A nested cut inside
-		// the walk leaves hullCut as it found it.
+		// shown it; the counts stay the cut's. A nested cut inside the
+		// walk leaves hullCut as it found it.
 		evals, pruned, cut := s.evals, s.pruned, s.hullCut
 		s.hullCut = true
 		s.descend(depth, pg)
 		s.evals, s.pruned, s.hullCut = evals, pruned, cut
 	}
 	return true
-}
-
-// count adds to Evals and Pruned what the walk of depths k and below,
-// under placed spot cost p, adds with the incumbent held where it is:
-// at an interior depth a choice whose p + cs + suffixMin is above the
-// incumbent prunes its leaves, at the last depth a leaf whose p + cs is
-// above it is pruned and any other is evaluated. The grids are sorted by
-// spot cost and IEEE addition is monotone, so the passing choices of a
-// level are a prefix: the first failure settles the rest of the level,
-// and at the last two levels the passing leaves under each choice only
-// shrink as the choice's cost grows.
-func (s *searcher) count(k int, p float64) {
-	last := len(s.subset) - 1
-	grid := s.hulls.grids[s.subset[k]]
-	if k == last {
-		s.countLeaves(grid, p, len(grid))
-		return
-	}
-	var leaves []hullPoint
-	if k == last-1 {
-		leaves = s.hulls.grids[s.subset[last]]
-	}
-	j := len(leaves)
-	for i, c := range grid {
-		q := p + c.cs
-		if q+s.suffixMin[k+1] > s.incumbent {
-			s.pruned += (len(grid) - i) * s.leaves[k+1]
-			return
-		}
-		if leaves == nil {
-			s.count(k+1, q)
-			continue
-		}
-		j = s.countLeaves(leaves, q, j)
-	}
-}
-
-// countLeaves counts the last level's leaves, sorted by spot cost, under
-// placed spot cost p, knowing that at most the first j can pass, and
-// returns how many did.
-func (s *searcher) countLeaves(leaves []hullPoint, p float64, j int) int {
-	for j > 0 && p+leaves[j-1].cs > s.incumbent {
-		j--
-	}
-	s.evals += j
-	s.pruned += len(leaves) - j
-	return j
 }
 
 // leaf scores the plan made of the placed groups plus last. Acceptance

@@ -210,8 +210,10 @@ func TestOptimizeMoreKappaNeverWorse(t *testing.T) {
 	if r2.Est.Cost > r1.Est.Cost+1e-9 {
 		t.Errorf("kappa=2 cost $%.2f worse than kappa=1 $%.2f", r2.Est.Cost, r1.Est.Cost)
 	}
-	if r2.Evals <= r1.Evals {
-		t.Errorf("kappa=2 evals %d not above kappa=1 %d", r2.Evals, r1.Evals)
+	// A larger κ enumerates a strictly larger space; how much of it the
+	// search visits depends on how early the incumbent tightens.
+	if r2.Evals+r2.Pruned <= r1.Evals+r1.Pruned {
+		t.Errorf("kappa=2 space %d+%d not above kappa=1 %d+%d", r2.Evals, r2.Pruned, r1.Evals, r1.Pruned)
 	}
 }
 

@@ -174,9 +174,11 @@ type PlanResponse struct {
 	MarketVersion uint64          `json:"market_version"`
 	Plan          PlanPayload     `json:"plan"`
 	Estimate      EstimatePayload `json:"estimate"`
-	// Evals and Pruned report the optimizer's search effort; SavedEvals
-	// counts ranking-stage evaluations answered by the server's
-	// cross-optimization reuse cache instead. Pruned and
+	// Evals and Pruned report the optimizer's search effort: Evals the
+	// evaluations it performed, counting one per search leaf it visited,
+	// and Pruned the leaves a bound settled without a visit (see
+	// opt.Result). SavedEvals counts ranking-stage evaluations answered
+	// by the server's cross-optimization reuse cache instead. Pruned and
 	// Evals+SavedEvals are a pure function of the request on every host
 	// (see opt.Result): the cache only moves a candidate's ranking
 	// evaluations from Evals into SavedEvals once its shard state has

@@ -347,9 +347,9 @@ func (m *metrics) render(w io.Writer, s renderSample) {
 	fmt.Fprintf(w, "sompid_plan_cache_misses_total %d\n", m.cacheMisses.Load())
 	header(w, "sompid_plan_cache_entries", "gauge", "Plan cache resident entries.")
 	fmt.Fprintf(w, "sompid_plan_cache_entries %d\n", cacheLen)
-	header(w, "sompid_optimizer_evals_total", "counter", "Cost-model evaluations across all optimizations.")
+	header(w, "sompid_optimizer_evals_total", "counter", "Evaluations the optimizer performed: baselines, ranking and the search leaves it visited.")
 	fmt.Fprintf(w, "sompid_optimizer_evals_total %d\n", m.evals.Load())
-	header(w, "sompid_optimizer_pruned_total", "counter", "Evaluations skipped by branch-and-bound pruning.")
+	header(w, "sompid_optimizer_pruned_total", "counter", "Search leaves a branch-and-bound bound settled without visiting them.")
 	fmt.Fprintf(w, "sompid_optimizer_pruned_total %d\n", m.pruned.Load())
 	header(w, "sompid_requests_cancelled_total", "counter", "Requests abandoned by the client or timed out mid-work.")
 	fmt.Fprintf(w, "sompid_requests_cancelled_total %d\n", m.cancelled.Load())

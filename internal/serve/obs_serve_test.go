@@ -139,10 +139,12 @@ func TestDebugTraceEndpoint(t *testing.T) {
 		}
 		return tr.Spans, pr.Evals
 	}
-	// The small plan at one worker, then default search knobs at two: a
-	// search over 100x larger, still with one opt.search.worker span.
+	// The small plan at one worker, then an exhaustive search at default
+	// knobs and two: every leaf of a space over 100x larger visited,
+	// still with one opt.search.worker span.
 	planSpans, smallEvals := tracePlan("trace-test-1", smallPlan(60))
-	if _, bigEvals := tracePlan("trace-test-big", serve.PlanRequest{App: "BT", DeadlineHours: 60, Workers: 2}); bigEvals < 100*smallEvals {
+	big := serve.PlanRequest{App: "BT", DeadlineHours: 60, Workers: 2, DisablePruning: true}
+	if _, bigEvals := tracePlan("trace-test-big", big); bigEvals < 100*smallEvals {
 		t.Fatalf("plan evals %d and %d differ by less than 100x", smallEvals, bigEvals)
 	}
 
