@@ -11,7 +11,9 @@ import (
 	"math"
 	"net/http"
 	"net/http/pprof"
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -457,22 +459,42 @@ func (s *Server) trainSnapshot(req PlanRequest, history float64) (snap *cloud.Ma
 // own cache namespace: "" and "sompi" plan identically but never
 // cross-evict, and parameterized requests key on their exact params.
 func planKey(req PlanRequest, vv cloud.VersionVector, keys []cloud.MarketKey) string {
-	return fmt.Sprintf("%s|%g|%g|%d|%d|%d|%g|%g|%t|%t|t:%s|z:%s|s:%s|sp{%s}|vv{%s}",
-		req.App, req.DeadlineHours, req.HistoryHours, req.Kappa,
-		req.GridLevels, req.MaxGroups, req.Slack, req.MaxAllFail,
-		req.DisableCheckpoints, req.DisablePruning,
-		strings.Join(req.Types, ","), strings.Join(req.Zones, ","),
-		req.Strategy, canonicalParams(req.StrategyParams),
-		vv.Subset(keys).String())
+	b := append(make([]byte, 0, 256), req.App...)
+	b = strconv.AppendFloat(append(b, '|'), req.DeadlineHours, 'g', -1, 64)
+	b = strconv.AppendFloat(append(b, '|'), req.HistoryHours, 'g', -1, 64)
+	b = strconv.AppendInt(append(b, '|'), int64(req.Kappa), 10)
+	b = strconv.AppendInt(append(b, '|'), int64(req.GridLevels), 10)
+	b = strconv.AppendInt(append(b, '|'), int64(req.MaxGroups), 10)
+	b = strconv.AppendFloat(append(b, '|'), req.Slack, 'g', -1, 64)
+	b = strconv.AppendFloat(append(b, '|'), req.MaxAllFail, 'g', -1, 64)
+	b = strconv.AppendBool(append(b, '|'), req.DisableCheckpoints)
+	b = strconv.AppendBool(append(b, '|'), req.DisablePruning)
+	b = appendJoined(append(b, "|t:"...), req.Types)
+	b = appendJoined(append(b, "|z:"...), req.Zones)
+	b = append(append(b, "|s:"...), req.Strategy...)
+	b = appendParams(append(b, "|sp{"...), req.StrategyParams)
+	b = vv.AppendSubset(append(b, "}|vv{"...), keys)
+	return string(append(b, '}'))
 }
 
-// canonicalParams renders a parameter map in sorted-key order so equal
+// appendJoined appends items separated by commas, as strings.Join would.
+func appendJoined(b []byte, items []string) []byte {
+	for i, item := range items {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = append(b, item...)
+	}
+	return b
+}
+
+// appendParams appends a parameter map in sorted-key order so equal
 // maps always produce equal cache keys. It leaves out workers, which is
 // as inert here as at the top level, so it splits no cache entry and no
 // single-flight.
-func canonicalParams(params map[string]float64) string {
+func appendParams(b []byte, params map[string]float64) []byte {
 	if len(params) == 0 {
-		return ""
+		return b
 	}
 	names := make([]string, 0, len(params))
 	for k := range params {
@@ -480,15 +502,14 @@ func canonicalParams(params map[string]float64) string {
 			names = append(names, k)
 		}
 	}
-	sort.Strings(names)
-	var b strings.Builder
+	slices.Sort(names)
 	for i, k := range names {
 		if i > 0 {
-			b.WriteByte(',')
+			b = append(b, ',')
 		}
-		fmt.Fprintf(&b, "%s=%g", k, params[k])
+		b = strconv.AppendFloat(append(append(b, k...), '='), params[k], 'g', -1, 64)
 	}
-	return b.String()
+	return b
 }
 
 func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {

@@ -420,7 +420,7 @@ func (s *Server) reoptKey(t *trackedSession, cfg opt.Config, leftover, trainStar
 		t.profile.Name, t.history, cfg.Kappa, cfg.GridLevels, cfg.MaxGroups,
 		cfg.Slack, t.base.MaxAllFail, cfg.DisableCheckpoints, cfg.DisablePruning,
 		strings.Join(t.req.Types, ","), strings.Join(t.req.Zones, ","),
-		t.req.Strategy, canonicalParams(t.req.StrategyParams),
+		t.req.Strategy, appendParams(nil, t.req.StrategyParams),
 		1-t.sess.Progress, leftover, trainStart, t.boundary, effStart, cfg.MaxAllFail)
 }
 
