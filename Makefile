@@ -91,8 +91,10 @@ cluster-smoke:
 # returns the exhaustive search's plan, with each leaf counted once, on
 # tiny adversarial markets with tied spot costs; and model.Evaluate
 # matches the brute-force enumerator on any plan of 1–3 groups that
-# Plan.Validate admits.
-# (go test -fuzz takes one target per invocation; fourteen targets.)
+# Plan.Validate admits; and any JSON object sent to /v1/plan with no
+# strategy and with "sompi" gets the same status and error text or the
+# same plan bytes, and every plan is the library path's.
+# (go test -fuzz takes one target per invocation; fifteen targets.)
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test ./internal/store -run '^$$' -fuzz 'FuzzDecodeRecord' -fuzztime $(FUZZTIME)
@@ -109,6 +111,7 @@ fuzz:
 	$(GO) test ./internal/opt -run '^$$' -fuzz 'FuzzLowerHull' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/opt -run '^$$' -fuzz 'FuzzOptimizeMatchesExhaustive' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/serve -run '^$$' -fuzz 'FuzzScanTicks' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/serve -run '^$$' -fuzz 'FuzzPlanSpellings' -fuzztime $(FUZZTIME)
 
 # Same gates as running serve-smoke, tournament-smoke, tournament-golden,
 # replay-smoke and cluster-smoke one by one; the three process smokes

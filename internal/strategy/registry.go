@@ -3,6 +3,7 @@ package strategy
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"sompi/internal/opt"
 )
@@ -109,13 +110,20 @@ func New(name string, params map[string]float64) (Strategy, error) {
 // decodeParams validates params against specs and returns the effective
 // values with defaults applied. The parameter surface is flat numeric on
 // purpose: it survives JSON round-trips exactly and keeps cache keys and
-// report rows canonical.
+// report rows canonical. Parameters are checked in name order, so a
+// request with several bad ones always gets the same error.
 func decodeParams(strategyName string, specs []ParamSpec, params map[string]float64) (map[string]float64, error) {
 	out := make(map[string]float64, len(specs))
 	for _, sp := range specs {
 		out[sp.Name] = sp.Default
 	}
-	for k, v := range params {
+	names := make([]string, 0, len(params))
+	for k := range params {
+		names = append(names, k)
+	}
+	slices.Sort(names)
+	for _, k := range names {
+		v := params[k]
 		sp, ok := findSpec(specs, k)
 		if !ok {
 			return nil, fmt.Errorf("%w: strategy %q has no parameter %q", opt.ErrInvalidConfig, strategyName, k)
